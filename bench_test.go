@@ -3,7 +3,6 @@ package greenplum
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -708,7 +707,7 @@ func BenchmarkSpillSortAgg(b *testing.B) {
 	}
 
 	budget := (cfg.MemoryBytes / 10) / 100 // slot quota × spill ratio
-	tmpBefore, _ := filepath.Glob(filepath.Join(os.TempDir(), "gpspill-*"))
+	tmpBefore, _ := filepath.Glob(exec.SpillDirGlob())
 	constrained, _ := e.NewSession("spill_bench")
 	constrained.UseResourceGroup(true, 0, 0)
 	spills0, _, _, _ := e.Cluster().SpillStats()
@@ -749,7 +748,7 @@ func BenchmarkSpillSortAgg(b *testing.B) {
 	b.ReportMetric(float64(sbytes)/float64(b.N), "spill_bytes/op")
 	b.ReportMetric(float64(peak), "budget_hwm_bytes")
 	b.ReportMetric(float64(vmem), "vmem_hwm_bytes")
-	tmpAfter, _ := filepath.Glob(filepath.Join(os.TempDir(), "gpspill-*"))
+	tmpAfter, _ := filepath.Glob(exec.SpillDirGlob())
 	if len(tmpAfter) > len(tmpBefore) {
 		b.Fatalf("spill temp dirs leaked: %d before, %d after", len(tmpBefore), len(tmpAfter))
 	}

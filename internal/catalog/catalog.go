@@ -221,31 +221,34 @@ func (c *Catalog) DropTable(name string) error {
 	return nil
 }
 
-// RenameTable re-keys a table under a new name (the online-expansion flip:
-// the widened staging table takes over the dropped original's name). The
-// table keeps its ID and leaf IDs, so segment-side state — engines, WAL leaf
-// bindings, mirrors, locks — carries over untouched. Index Table back-refs
-// follow the rename. Statistics (keyed by name) are dropped; the caller
+// ReplaceTable drops table name and re-keys the table stagingName under
+// it, in one step (the online-expansion flip: the widened staging table
+// takes over the original's name). A concurrent lookup of name sees either
+// the original or its replacement, never neither. The replacement keeps
+// its ID and leaf IDs, so segment-side state — engines, WAL leaf bindings,
+// mirrors, locks — carries over untouched. Index Table back-refs follow
+// the rename. Statistics (keyed by name) are dropped for both; the caller
 // invalidates the cluster-side generation too.
-func (c *Catalog) RenameTable(oldName, newName string) error {
+func (c *Catalog) ReplaceTable(name, stagingName string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	oldKey := strings.ToLower(oldName)
-	newKey := strings.ToLower(newName)
-	t, ok := c.tables[oldKey]
-	if !ok {
-		return fmt.Errorf("catalog: table %q does not exist", oldName)
+	key := strings.ToLower(name)
+	stKey := strings.ToLower(stagingName)
+	if _, ok := c.tables[key]; !ok {
+		return fmt.Errorf("catalog: table %q does not exist", name)
 	}
-	if _, ok := c.tables[newKey]; ok && newKey != oldKey {
-		return fmt.Errorf("catalog: table %q already exists", newName)
+	t, ok := c.tables[stKey]
+	if !ok || stKey == key {
+		return fmt.Errorf("catalog: table %q does not exist", stagingName)
 	}
-	delete(c.tables, oldKey)
-	delete(c.tstats, oldKey)
-	t.Name = newName
+	delete(c.tables, stKey)
+	delete(c.tstats, stKey)
+	delete(c.tstats, key)
+	t.Name = name
 	for _, ix := range t.Indexes {
-		ix.Table = newName
+		ix.Table = name
 	}
-	c.tables[newKey] = t
+	c.tables[key] = t
 	return nil
 }
 

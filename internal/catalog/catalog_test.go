@@ -163,3 +163,48 @@ func TestTablesSorted(t *testing.T) {
 		t.Fatalf("order: %v", []string{ts[0].Name, ts[1].Name, ts[2].Name})
 	}
 }
+
+// TestReplaceTableNeverHidesName pins the online-expansion flip race: the
+// flip used to drop the original and then rename the staging table in two
+// catalog steps, and a statement resolving the name in between failed with
+// "does not exist". Concurrent lookups must always find a table.
+func TestReplaceTableNeverHidesName(t *testing.T) {
+	c := New()
+	if err := c.CreateTable(tbl("fr")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(errs)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := c.Table("fr"); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if err := c.CreateTable(tbl("fr_staging")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ReplaceTable("fr", "fr_staging"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-errs; err != nil {
+		t.Fatalf("lookup during the flip: %v", err)
+	}
+	if _, err := c.Table("fr_staging"); err == nil {
+		t.Fatal("staging name still resolves after the flip")
+	}
+	if err := c.ReplaceTable("fr", "missing"); err == nil {
+		t.Fatal("replacing with a missing staging table succeeded")
+	}
+}

@@ -32,7 +32,7 @@ func (c *Cluster) Analyze(ctx context.Context, name string) (int, error) {
 	defer func() {
 		_, _ = c.CommitTxn(lt) // read-only: releases locks, no fsync
 	}()
-	snap := c.Snapshot()
+	snap := c.TxnSnapshot(lt)
 	for _, t := range tables {
 		if err := c.analyzeTable(ctx, lt, snap, t); err != nil {
 			return 0, err

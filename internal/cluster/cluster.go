@@ -132,6 +132,10 @@ type Cluster struct {
 	// walFlushLat is the WAL group-commit sync latency histogram, shared by
 	// every segment's log (wal.flush_seconds).
 	walFlushLat *obs.Histogram
+	// prunedVersions/prunedEntries count reclaimed heap versions and their
+	// dropped index entries across every segment (storage.prune.*).
+	prunedVersions *obs.Counter
+	prunedEntries  *obs.Counter
 
 	// Fault injection: the registry every fault point on this cluster
 	// evaluates (nil when Config.NoFaultPoints). The per-segment dispatch
@@ -269,6 +273,19 @@ func New(cfg *Config) *Cluster {
 	return c
 }
 
+// wireSegment hands a segment incarnation the coordinator services and
+// shared metric handles it consults (boot, expansion and promotion).
+func (c *Cluster) wireSegment(s *Segment) {
+	if s.log != nil {
+		s.log.SetFlushLatency(c.walFlushLat)
+	}
+	s.distInProgress = c.coord.IsInProgress
+	s.horizon = c.coord.Horizon
+	s.repMode = &c.replicaMode
+	s.prunedVersions = c.prunedVersions
+	s.prunedEntries = c.prunedEntries
+}
+
 // buildSegment constructs segment i with its fault wiring, block cache and
 // (when the cluster is replicated) a streaming mirror — shared by boot and
 // online expansion.
@@ -276,11 +293,7 @@ func (c *Cluster) buildSegment(i int) (*Segment, *Mirror) {
 	cfg := c.cfg
 	seg := newSegment(i, cfg)
 	seg.attachFaults(c.faults)
-	if seg.log != nil {
-		seg.log.SetFlushLatency(c.walFlushLat)
-	}
-	seg.distInProgress = c.coord.IsInProgress
-	seg.repMode = &c.replicaMode
+	c.wireSegment(seg)
 	// The decoded-block cache capacity comes out of the same global vmem
 	// budget queries allocate from; a segment whose share the pool cannot
 	// cover runs without a shared cache.
@@ -463,9 +476,16 @@ func (t *LiveTxn) DXID() dtm.DXID { return t.dxid }
 // Killed reports whether GDD chose this transaction as a victim.
 func (t *LiveTxn) Killed() bool { return t.killed.Load() }
 
-// Snapshot takes a fresh distributed snapshot (read committed: one per
-// statement).
-func (c *Cluster) Snapshot() *dtm.DistSnapshot { return c.coord.Snapshot() }
+// TxnSnapshot takes a fresh distributed snapshot for transaction t (read
+// committed: one per statement). Its Xmin stays pinned until t ends, so
+// reclamation never removes a version the snapshot can still see.
+func (c *Cluster) TxnSnapshot(t *LiveTxn) *dtm.DistSnapshot { return c.coord.Snapshot(t.dxid) }
+
+// Snapshot takes an unpinned distributed snapshot. It costs what a
+// statement's snapshot costs, but nothing protects the versions it can see
+// from reclamation: probes and diagnostics only, never reads — statements
+// use TxnSnapshot.
+func (c *Cluster) Snapshot() *dtm.DistSnapshot { return c.coord.Snapshot(dtm.InvalidDXID) }
 
 // CommitTxn runs the appropriate commit protocol and releases all locks.
 // Writer participants are stable segment references that resolve the
@@ -568,12 +588,23 @@ func (c *Cluster) forget(t *LiveTxn) {
 }
 
 // maybeTruncateMappings periodically truncates the local↔distributed xid
-// mappings on every segment (paper §5.1).
+// mappings on every segment (paper §5.1) at the reclamation horizon — "the
+// oldest distributed transaction any snapshot can still see as running".
+// The oldest in-progress dxid is not enough: a snapshot taken while an
+// older transaction was running still sees it as running after it
+// commits, and a reader that lost the mapping entry would fall back to a
+// local snapshot that sees the commit.
 func (c *Cluster) maybeTruncateMappings() {
 	if c.truncTick.Add(1)%256 != 0 {
 		return
 	}
-	horizon := c.coord.OldestInProgress()
+	c.truncateMappings()
+}
+
+// truncateMappings truncates every segment's xid mapping and the
+// coordinator's commit log below the reclamation horizon now.
+func (c *Cluster) truncateMappings() {
+	horizon := c.coord.Horizon()
 	c.eachSeg(func(_ int, s *Segment) {
 		s.TruncateMapping(horizon)
 	})

@@ -41,7 +41,7 @@ func insertRows(t *testing.T, c *Cluster, tab *catalog.Table, rows []types.Row) 
 	lt := c.BeginTxn()
 	_, ver := tab.Placement()
 	ip := &plan.InsertPlan{Table: tab, Rows: rows, MapVersion: ver}
-	if _, err := c.RunInsert(context.Background(), lt, c.Snapshot(), ip, nil); err != nil {
+	if _, err := c.RunInsert(context.Background(), lt, c.TxnSnapshot(lt), ip, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CommitTxn(lt); err != nil {
@@ -57,7 +57,7 @@ func scanAll(t *testing.T, c *Cluster, tab *catalog.Table) []types.Row {
 	root := &plan.Motion{Child: scan, Type: plan.MotionGather}
 	pl := &plan.Planned{Root: root, DirectSegment: -1}
 	plan.CutSlices(root)
-	rows, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
+	rows, _, err := c.RunSelect(context.Background(), lt, c.TxnSnapshot(lt), pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 		lt := c.BeginTxn()
 		up := &plan.UpdatePlan{Table: tab, SetCols: []int{1},
 			SetExprs: []plan.Expr{&plan.Const{Val: types.NewInt(int64(pass + 1))}}}
-		if _, err := c.RunUpdate(context.Background(), lt, c.Snapshot(), up, -1, nil); err != nil {
+		if _, err := c.RunUpdate(context.Background(), lt, c.TxnSnapshot(lt), up, -1, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.CommitTxn(lt); err != nil {
@@ -140,6 +140,10 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	}
 	if n != 20 {
 		t.Fatalf("vacuum reclaimed %d, want 20", n)
+	}
+	// Reclaimed slots no longer count as stored versions.
+	if got := c.TableRowCount("t"); got != 10 {
+		t.Fatalf("version count after vacuum = %d, want 10", got)
 	}
 	if got := len(scanAll(t, c, tab)); got != 10 {
 		t.Fatalf("rows after vacuum = %d", got)
@@ -172,7 +176,7 @@ func TestDeleteAndReadOnlyCommit(t *testing.T) {
 	lt := c.BeginTxn()
 	dp := &plan.DeletePlan{Table: tab, Filter: &plan.BinOp{Op: "=",
 		Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(1)}}}
-	n, err := c.RunDelete(context.Background(), lt, c.Snapshot(), dp, -1, nil)
+	n, err := c.RunDelete(context.Background(), lt, c.TxnSnapshot(lt), dp, -1, nil)
 	if err != nil || n != 1 {
 		t.Fatalf("delete: %d %v", n, err)
 	}
@@ -202,7 +206,7 @@ func scanAllTxn(t *testing.T, c *Cluster, tab *catalog.Table, lt *LiveTxn) []typ
 	root := &plan.Motion{Child: scan, Type: plan.MotionGather}
 	pl := &plan.Planned{Root: root, DirectSegment: -1}
 	plan.CutSlices(root)
-	rows, _, err := c.RunSelect(context.Background(), lt, c.Snapshot(), pl, nil)
+	rows, _, err := c.RunSelect(context.Background(), lt, c.TxnSnapshot(lt), pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +229,7 @@ func TestDirectDispatchTouchesOneSegment(t *testing.T) {
 		Filter:   &plan.BinOp{Op: "=", Left: &plan.ColRef{Idx: 0}, Right: &plan.Const{Val: types.NewInt(key)}},
 		SetCols:  []int{1},
 		SetExprs: []plan.Expr{&plan.Const{Val: types.NewInt(99)}}}
-	n, err := c.RunUpdate(context.Background(), lt, c.Snapshot(), up, target, nil)
+	n, err := c.RunUpdate(context.Background(), lt, c.TxnSnapshot(lt), up, target, nil)
 	if err != nil || n != 1 {
 		t.Fatalf("update: %d %v", n, err)
 	}

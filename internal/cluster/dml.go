@@ -77,12 +77,14 @@ func (s *Segment) collectTargets(ctx context.Context, a *storeAccess, t *catalog
 		}
 		if ix, key := pickIndexProbe(st, filter); ix != nil {
 			s.accessPenalty(st)
+			dead := s.newPruneSet(st)
 			for _, tid := range ix.ix.Lookup(key) {
 				h, row, ok := st.engine.Fetch(tid)
-				if !ok || !ix.ix.Matches(row, key) {
+				if !ok {
 					continue
 				}
-				if !a.check.Visible(h.Xmin, h.Xmax) {
+				if !ix.ix.Matches(row, key) || !a.check.Visible(h.Xmin, h.Xmax) {
+					dead.consider(h)
 					continue
 				}
 				keep, err := plan.EvalBool(filter, row)
@@ -93,6 +95,7 @@ func (s *Segment) collectTargets(ctx context.Context, a *storeAccess, t *catalog
 					out = append(out, dmlTarget{leaf: leaf, tid: tid})
 				}
 			}
+			s.prune(st, dead.tids)
 			continue
 		}
 		var iterErr error
@@ -373,32 +376,97 @@ func (s *Segment) LockRelation(ctx context.Context, dxid dtm.DXID, t *catalog.Ta
 	return s.acquire(ctx, lockmgr.TxnID(dxid), lockmgr.RelationTag(uint64(t.ID)), mode)
 }
 
-// Vacuum reclaims dead heap versions: versions deleted by a transaction no
-// snapshot can still see, and versions created by aborted transactions.
+// Vacuum reclaims every dead heap version of a table through the same
+// primitive the probe paths use: same horizon, index entries dropped with
+// the versions, one WAL-logged prune record per leaf.
 func (s *Segment) Vacuum(t *catalog.Table) int {
-	horizon := s.txns.OldestRunning()
 	reclaimed := 0
 	for _, leaf := range leafIDs(t) {
 		st, err := s.table(leaf)
 		if err != nil {
 			continue
 		}
-		heap, ok := st.engine.(*storage.Heap)
-		if !ok {
-			continue
-		}
-		reclaimed += heap.Vacuum(func(h storage.Header) bool {
-			if s.txns.Status(h.Xmin) == txn.StatusAborted {
-				return true
-			}
-			if h.Xmax != txn.InvalidXID && h.Xmax < horizon &&
-				s.txns.Status(h.Xmax) == txn.StatusCommitted {
-				return true
-			}
-			return false
+		dead := s.newPruneSet(st)
+		st.engine.ForEach(func(h storage.Header, _ types.Row) bool {
+			dead.consider(h)
+			return true
 		})
+		reclaimed += s.prune(st, dead.tids)
 	}
 	return reclaimed
+}
+
+// pruneSet gathers the dead versions one probe or VACUUM pass met on one
+// leaf, for Segment.prune. Only heap leaves reclaim in place; for any other
+// engine the set stays empty.
+type pruneSet struct {
+	seg     *Segment
+	heap    bool
+	horizon dtm.DXID // loaded on first use: one atomic load per pass
+	tids    []storage.TupleID
+}
+
+func (s *Segment) newPruneSet(st *segTable) pruneSet {
+	_, heap := st.engine.(*storage.Heap)
+	return pruneSet{seg: s, heap: heap}
+}
+
+// consider adds version h to the set when no live or future snapshot can
+// see it.
+func (p *pruneSet) consider(h storage.Header) {
+	if !p.heap {
+		return
+	}
+	if p.horizon == dtm.InvalidDXID {
+		p.horizon = p.seg.horizon()
+	}
+	if p.seg.reclaimable(h, p.horizon) {
+		p.tids = append(p.tids, h.TID)
+	}
+}
+
+// reclaimable reports whether version h is dead to every live and future
+// snapshot: its deleter committed with a dxid below the horizon, or its
+// creator aborted. Both states are final, so a header read without locks
+// decides it for good. A deleter whose mapping entry is gone was truncated
+// below an earlier horizon, and the horizon never moves back. Committed
+// below the horizon also covers segment-local snapshots: a reader falls
+// back to its local snapshot only for such truncated xids, and every live
+// local snapshot was taken after their distributed commit acknowledged.
+func (s *Segment) reclaimable(h storage.Header, horizon dtm.DXID) bool {
+	if h.Xmax != txn.InvalidXID && s.txns.Status(h.Xmax) == txn.StatusCommitted {
+		// A committed deleter saw the version, so its creator committed too.
+		d, ok := s.mapping.DistFor(h.Xmax)
+		return !ok || d < horizon
+	}
+	return s.txns.Status(h.Xmin) == txn.StatusAborted
+}
+
+// prune is the reclamation primitive, the heap_page_prune of this engine:
+// it reclaims the dead versions tids of one heap leaf (Heap.Prune WAL-logs
+// them, so mirrors and crash recovery reclaim the same slots) and drops
+// their index entries. It returns the number of versions reclaimed; a tid a
+// concurrent pass already reclaimed is skipped.
+func (s *Segment) prune(st *segTable, tids []storage.TupleID) int {
+	if len(tids) == 0 {
+		return 0
+	}
+	rows := st.engine.(*storage.Heap).Prune(tids)
+	n := 0
+	for i, row := range rows {
+		if row != nil {
+			rows[n], tids[n] = row, tids[i]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	for _, ix := range st.indexes {
+		s.prunedEntries.Add(int64(ix.ix.Delete(rows[:n], tids[:n])))
+	}
+	s.prunedVersions.Add(int64(n))
+	return n
 }
 
 // SegID implements dtm.Participant.

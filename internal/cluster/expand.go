@@ -433,7 +433,7 @@ func (c *Cluster) moveReplicated(ctx context.Context, run *expandRun, slot *resg
 			c.AbortTxn(lt)
 		}
 	}()
-	snap := c.Snapshot()
+	snap := c.TxnSnapshot(lt)
 	s0, err := c.segUp(ctx, 0)
 	if err != nil {
 		return err
@@ -579,7 +579,7 @@ func (c *Cluster) moveHash(ctx context.Context, run *expandRun, slot *resgroup.S
 			_, _ = c.CommitTxn(ltR)
 		}
 	}()
-	snap := c.Snapshot()
+	snap := c.TxnSnapshot(ltR)
 	accs := make([]*storeAccess, w)
 	for i := 0; i < w; i++ {
 		s, serr := c.segUp(ctx, i)
@@ -770,7 +770,7 @@ func (c *Cluster) stageDelta(ctx context.Context, run *expandRun, st *catalog.Ta
 			c.AbortTxn(lt)
 		}
 	}()
-	snap := c.Snapshot()
+	snap := c.TxnSnapshot(lt)
 	rr := 0
 	for _, row := range minus {
 		row := row
@@ -882,21 +882,17 @@ func (c *Cluster) cloneIndexes(t, st *catalog.Table, target int) error {
 func (c *Cluster) flipTable(t, st *catalog.Table, w, target int, ver uint64) error {
 	stName := st.Name
 	c.ddlMu.Lock()
-	if err := c.catalog.DropTable(t.Name); err != nil {
+	// One catalog step: a statement resolving the name concurrently gets
+	// the old table (fenced below) or the new one, never "does not exist".
+	if err := c.catalog.ReplaceTable(t.Name, stName); err != nil {
 		c.ddlMu.Unlock()
 		return err
 	}
+	t.SetPlacement(w, ver+1)
+	st.SetPlacement(target, ver+1)
 	c.eachSeg(func(_ int, s *Segment) { s.DropTable(t) })
 	c.eachMirror(func(m *Mirror) { m.DropTable(t) })
-	t.SetPlacement(w, ver+1)
-	err := c.catalog.RenameTable(stName, t.Name)
-	if err == nil {
-		st.SetPlacement(target, ver+1)
-	}
 	c.ddlMu.Unlock()
-	if err != nil {
-		return err
-	}
 	c.invalidateStats(stName)
 	c.invalidateStats(st.Name)
 	c.BumpPlanEpoch()

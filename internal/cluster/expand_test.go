@@ -145,18 +145,18 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 		{"insert", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			ip := &plan.InsertPlan{Table: tab, MapVersion: v,
 				Rows: []types.Row{{types.NewInt(1), types.NewInt(1)}}}
-			_, err := c.RunInsert(ctx, lt, c.Snapshot(), ip, nil)
+			_, err := c.RunInsert(ctx, lt, c.TxnSnapshot(lt), ip, nil)
 			return err
 		}},
 		{"update", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			up := &plan.UpdatePlan{Table: tab, MapVersion: v, SetCols: []int{1},
 				SetExprs: []plan.Expr{&plan.Const{Val: types.NewInt(9)}}}
-			_, err := c.RunUpdate(ctx, lt, c.Snapshot(), up, -1, nil)
+			_, err := c.RunUpdate(ctx, lt, c.TxnSnapshot(lt), up, -1, nil)
 			return err
 		}},
 		{"delete", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
 			dp := &plan.DeletePlan{Table: tab, MapVersion: v}
-			_, err := c.RunDelete(ctx, lt, c.Snapshot(), dp, -1, nil)
+			_, err := c.RunDelete(ctx, lt, c.TxnSnapshot(lt), dp, -1, nil)
 			return err
 		}},
 		{"select", func(c *Cluster, tab *catalog.Table, lt *LiveTxn, v uint64) error {
@@ -165,7 +165,7 @@ func TestStaleDistMapVersionRejected(t *testing.T) {
 			pl := &plan.Planned{Root: root, DirectSegment: -1,
 				MapVersions: map[string]uint64{tab.Name: v}}
 			plan.CutSlices(root)
-			_, _, err := c.RunSelect(ctx, lt, c.Snapshot(), pl, nil)
+			_, _, err := c.RunSelect(ctx, lt, c.TxnSnapshot(lt), pl, nil)
 			return err
 		}},
 	}
@@ -206,7 +206,7 @@ func TestTxnLostWritesOnMapFlip(t *testing.T) {
 	w, ver := tab.Placement()
 	ip := &plan.InsertPlan{Table: tab, MapVersion: ver,
 		Rows: []types.Row{{types.NewInt(1), types.NewInt(2)}}}
-	if _, err := c.RunInsert(context.Background(), lt, c.Snapshot(), ip, nil); err != nil {
+	if _, err := c.RunInsert(context.Background(), lt, c.TxnSnapshot(lt), ip, nil); err != nil {
 		t.Fatal(err)
 	}
 	tab.SetPlacement(w, ver+1) // the flip lands while the txn is in flight

@@ -291,7 +291,8 @@ func (c *Cluster) promote(i int) error {
 	if old.blockCache != nil {
 		cache = storage.NewBlockCache(c.cfg.BlockCacheBytes)
 	}
-	ns := m.toSegment(old.gen+1, cache, c.coord.IsInProgress, &c.replicaMode)
+	ns := m.toSegment(old.gen+1, cache)
+	c.wireSegment(ns)
 	ns.reconcileTables(c.catalog.Tables())
 
 	// Crash recovery: in-flight local transactions can never commit.

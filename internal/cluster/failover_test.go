@@ -35,7 +35,7 @@ func TestInDoubtCommitRecordWins(t *testing.T) {
 
 	run := func(withRecord bool) (dxid uint64, rows int) {
 		lt := c.BeginTxn()
-		snap := c.Snapshot()
+		snap := c.TxnSnapshot(lt)
 		s1 := c.seg(1)
 		if _, err := s1.ExecInsert(ctx, lt.DXID(), snap, tab, byLeafRows(tab,
 			types.Row{types.NewInt(int64(100 * boolInt(withRecord))), types.NewInt(1)})); err != nil {
@@ -103,7 +103,7 @@ func TestCommitPreparedIdempotentAfterPromotion(t *testing.T) {
 	tab := mkTable(t, c, "t")
 
 	lt := c.BeginTxn()
-	snap := c.Snapshot()
+	snap := c.TxnSnapshot(lt)
 	s1 := c.seg(1)
 	if _, err := s1.ExecInsert(ctx, lt.DXID(), snap, tab, byLeafRows(tab,
 		types.Row{types.NewInt(7), types.NewInt(70)})); err != nil {
@@ -188,7 +188,7 @@ func TestAbortedTxnsDoNotLeakOnMirror(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		lt := c.BeginTxn()
 		ip := &plan.InsertPlan{Table: tab, Rows: []types.Row{{types.NewInt(int64(i)), types.NewInt(0)}}}
-		if _, err := c.RunInsert(ctx, lt, c.Snapshot(), ip, nil); err != nil {
+		if _, err := c.RunInsert(ctx, lt, c.TxnSnapshot(lt), ip, nil); err != nil {
 			t.Fatal(err)
 		}
 		c.AbortTxn(lt)
@@ -203,7 +203,7 @@ func TestAbortedTxnsDoNotLeakOnMirror(t *testing.T) {
 }
 
 // TestCommitLogTruncation: the coordinator's durable commit records are
-// discarded below the oldest-in-progress horizon (maybeTruncateMappings).
+// discarded below the reclamation horizon (maybeTruncateMappings).
 func TestCommitLogTruncation(t *testing.T) {
 	c := replicatedCluster(t, 1, ReplicaSync)
 	coord := c.coord
@@ -217,7 +217,7 @@ func TestCommitLogTruncation(t *testing.T) {
 	if !coord.HasCommitRecord(dxids[0]) {
 		t.Fatal("commit record missing before truncation")
 	}
-	if n := coord.TruncateCommitLog(coord.OldestInProgress()); n != 10 {
+	if n := coord.TruncateCommitLog(coord.Horizon()); n != 10 {
 		t.Fatalf("truncated %d records, want 10", n)
 	}
 	if coord.HasCommitRecord(dxids[9]) {

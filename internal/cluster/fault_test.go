@@ -65,7 +65,7 @@ func TestDispatchSendFaultExhaustsToRetryableError(t *testing.T) {
 	}
 	lt := c.BeginTxn()
 	_, err := c.RunInsert(context.Background(), lt,
-		c.Snapshot(), insertPlan(tab, []types.Row{{types.NewInt(1), types.NewInt(1)}}), nil)
+		c.TxnSnapshot(lt), insertPlan(tab, []types.Row{{types.NewInt(1), types.NewInt(1)}}), nil)
 	c.ResetFault(fault.DispatchSend)
 	c.AbortTxn(lt)
 	if err == nil {
@@ -101,7 +101,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	// Each failed statement is one breaker Failure; threshold 2 opens it.
 	for i := 0; i < 3; i++ {
 		lt := c.BeginTxn()
-		_, err := c.RunInsert(ctx, lt, c.Snapshot(), insertPlan(tab, []types.Row{{types.NewInt(int64(i)), types.NewInt(1)}}), nil)
+		_, err := c.RunInsert(ctx, lt, c.TxnSnapshot(lt), insertPlan(tab, []types.Row{{types.NewInt(int64(i)), types.NewInt(1)}}), nil)
 		c.AbortTxn(lt)
 		if err == nil {
 			t.Fatalf("statement %d succeeded under permanent fault", i)
@@ -122,7 +122,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// An open breaker fails fast with a retryable error.
 	lt := c.BeginTxn()
-	_, err := c.RunInsert(ctx, lt, c.Snapshot(), insertPlan(tab, []types.Row{{types.NewInt(9), types.NewInt(1)}}), nil)
+	_, err := c.RunInsert(ctx, lt, c.TxnSnapshot(lt), insertPlan(tab, []types.Row{{types.NewInt(9), types.NewInt(1)}}), nil)
 	c.AbortTxn(lt)
 	var boe *BreakerOpenError
 	if !errors.As(err, &boe) {
@@ -155,7 +155,7 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 
 	ctx := context.Background()
 	lt := c.BeginTxn()
-	if _, err := c.RunUpdate(ctx, lt, c.Snapshot(), updatePlan(tab), -1, nil); err != nil {
+	if _, err := c.RunUpdate(ctx, lt, c.TxnSnapshot(lt), updatePlan(tab), -1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// 70% of dispatch attempts fail while the abort wave runs; bounded
@@ -171,7 +171,7 @@ func TestAbortResolvesThroughDispatchFaults(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		lt2 := c.BeginTxn()
-		if _, err := c.RunUpdate(ctx, lt2, c.Snapshot(), updatePlan(tab), -1, nil); err != nil {
+		if _, err := c.RunUpdate(ctx, lt2, c.TxnSnapshot(lt2), updatePlan(tab), -1, nil); err != nil {
 			c.AbortTxn(lt2)
 			done <- err
 			return

@@ -34,6 +34,8 @@ func (c *Cluster) initMetrics() {
 	c.walTruncations = r.Counter("wal.truncations")
 	c.walTruncatedBytes = r.Counter("wal.truncated_bytes")
 	c.walFlushLat = r.Histogram("wal.flush_seconds")
+	c.prunedVersions = r.Counter("storage.prune.versions")
+	c.prunedEntries = r.Counter("storage.prune.index_entries")
 	c.groups.SetAdmissionWaits(r.Counter("resgroup.admission_waits"))
 }
 
@@ -60,6 +62,7 @@ func (c *Cluster) registerGauges() {
 	r.GaugeFunc("wal.mirror_applied_lsn", func() int64 { return int64(c.WALStats().MirrorAppliedLSN) })
 	r.GaugeFunc("wal.replay_lsn", func() int64 { return int64(c.replayLSN.Load()) })
 	r.GaugeFunc("cluster.segments", func() int64 { return int64(c.SegCount()) })
+	r.GaugeFunc("dtm.horizon_age", c.coord.HorizonAge)
 	r.GaugeFunc("fault.enabled", func() int64 {
 		if c.FaultStats().Enabled {
 			return 1

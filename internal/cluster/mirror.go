@@ -295,15 +295,14 @@ func (m *Mirror) flushReplica() {
 // the given generation. The caller (promotion) must already have drained
 // and stopped the applier; crash recovery and in-doubt resolution happen in
 // the cluster layer, which owns the coordinator state needed for them.
-func (m *Mirror) toSegment(gen int, blockCache *storage.BlockCache, distInProgress func(dtm.DXID) bool, repMode *atomic.Int32) *Segment {
+// The caller wires the coordinator services (Cluster.wireSegment).
+func (m *Mirror) toSegment(gen int, blockCache *storage.BlockCache) *Segment {
 	ns := newSegment(m.segID, m.cfg)
 	ns.gen = gen
 	ns.txns = m.txns
 	ns.mapping = m.mapping
 	ns.tables = m.tables
 	ns.log = m.log
-	ns.distInProgress = distInProgress
-	ns.repMode = repMode
 	ns.blockCache = blockCache
 	for leaf, st := range ns.tables {
 		// The engines are now the authoritative copy: attach the segment

@@ -13,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/lockmgr"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
@@ -84,6 +85,15 @@ type Segment struct {
 	// with an earlier distributed timestamp than the version it replaced,
 	// making two versions of one row visible to a snapshot in the window.
 	distInProgress func(dxid dtm.DXID) bool
+
+	// horizon reads the coordinator's published reclamation horizon (one
+	// atomic load): a version whose deleter committed below it is invisible
+	// to every live and future snapshot (see Segment.reclaimable).
+	horizon func() dtm.DXID
+	// prunedVersions/prunedEntries count reclaimed heap versions and the
+	// index entries dropped with them (storage.prune.*).
+	prunedVersions *obs.Counter
+	prunedEntries  *obs.Counter
 
 	// faults is the cluster's fault registry (nil = disarmed), evaluated
 	// with this segment's id at the 2PC and lock fault points; the log keeps
@@ -351,7 +361,8 @@ func (s *Segment) table(leaf catalog.TableID) (*segTable, error) {
 	return st, nil
 }
 
-// RowCount sums visible-or-not stored versions across leaves (stats).
+// RowCount sums stored versions — visible or not, reclaimed ones excluded —
+// across leaves (stats).
 func (s *Segment) RowCount(t *catalog.Table) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -922,12 +933,15 @@ func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *ca
 			return fmt.Errorf("cluster: index %q missing on segment %d", def.Name, a.seg.id)
 		}
 		a.seg.accessPenalty(st)
+		dead := a.seg.newPruneSet(st)
+		stop := false
 		for _, tid := range ix.ix.Lookup(key) {
 			h, row, ok := st.engine.Fetch(tid)
-			if !ok || !ix.ix.Matches(row, key) {
+			if !ok {
 				continue
 			}
-			if !a.check.Visible(h.Xmin, h.Xmax) {
+			if !ix.ix.Matches(row, key) || !a.check.Visible(h.Xmin, h.Xmax) {
+				dead.consider(h)
 				continue
 			}
 			if forUpdate {
@@ -940,8 +954,13 @@ func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *ca
 				return err
 			}
 			if !cont {
-				return nil
+				stop = true
+				break
 			}
+		}
+		a.seg.prune(st, dead.tids)
+		if stop {
+			return nil
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -216,6 +217,42 @@ func TestGpStatMetrics(t *testing.T) {
 	}
 	if vals["cluster.segments"] != 2 {
 		t.Fatalf("cluster.segments = %d, want 2", vals["cluster.segments"])
+	}
+}
+
+// TestPruneMetrics: a small UPDATE loop on one indexed key moves the prune
+// counters; they and the horizon gauge are served by gp_stat_metrics and
+// the Prometheus exposition alike.
+func TestPruneMetrics(t *testing.T) {
+	e, s := newTestEngine(t, 2)
+	mustExec(t, s, "CREATE TABLE acct (id int, bal int) DISTRIBUTED BY (id)")
+	mustExec(t, s, "CREATE INDEX acct_id ON acct (id)")
+	mustExec(t, s, "INSERT INTO acct VALUES (1, 0), (2, 0)")
+	const updates = 20
+	for i := 0; i < updates; i++ {
+		mustExec(t, s, "UPDATE acct SET bal = bal + 1 WHERE id = 1")
+	}
+	res := mustExec(t, s, "SHOW gp_stat_metrics")
+	vals := map[string]int64{}
+	for _, r := range res.Rows {
+		vals[r[0].Text()] = r[1].Int()
+	}
+	for _, name := range []string{"storage.prune.versions", "storage.prune.index_entries"} {
+		if vals[name] < updates-1 {
+			t.Errorf("%s = %d after %d updates of one key, want >= %d", name, vals[name], updates, updates-1)
+		}
+	}
+	if age, ok := vals["dtm.horizon_age"]; !ok || age < 0 {
+		t.Errorf("dtm.horizon_age = %d (present %v)", age, ok)
+	}
+	var prom bytes.Buffer
+	if err := e.Cluster().Metrics().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"storage_prune_versions ", "storage_prune_index_entries ", "dtm_horizon_age "} {
+		if !strings.Contains(prom.String(), name) {
+			t.Errorf("/metrics exposition lacks %q", name)
+		}
 	}
 }
 

@@ -650,7 +650,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		}
 		ip := pl.Root.(*plan.InsertPlan)
 		res, sp := s.dmlResources()
-		n, err := cl.RunInsert(ctx, s.txn, cl.Snapshot(), ip, res)
+		n, err := cl.RunInsert(ctx, s.txn, cl.TxnSnapshot(s.txn), ip, res)
 		sp.End()
 		if err != nil {
 			return nil, wrapLockErr(err)
@@ -670,7 +670,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		}
 		up := pl.Root.(*plan.UpdatePlan)
 		res, sp := s.dmlResources()
-		n, err := cl.RunUpdate(ctx, s.txn, cl.Snapshot(), up, pl.DirectSegment, res)
+		n, err := cl.RunUpdate(ctx, s.txn, cl.TxnSnapshot(s.txn), up, pl.DirectSegment, res)
 		sp.End()
 		if err != nil {
 			return nil, wrapLockErr(err)
@@ -690,7 +690,7 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement, entry *st
 		}
 		dp := pl.Root.(*plan.DeletePlan)
 		res, sp := s.dmlResources()
-		n, err := cl.RunDelete(ctx, s.txn, cl.Snapshot(), dp, pl.DirectSegment, res)
+		n, err := cl.RunDelete(ctx, s.txn, cl.TxnSnapshot(s.txn), dp, pl.DirectSegment, res)
 		sp.End()
 		if err != nil {
 			return nil, wrapLockErr(err)
@@ -1161,7 +1161,7 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 			}
 			ip := pl.Root.(*plan.InsertPlan)
 			return s.explainAnalyzeDML(ctx, pl.Root, pl.LockTable, pl.LockModeLevel, func(res *cluster.QueryResources) (int, error) {
-				return cl.RunInsert(ctx, s.txn, cl.Snapshot(), ip, res)
+				return cl.RunInsert(ctx, s.txn, cl.TxnSnapshot(s.txn), ip, res)
 			})
 		case *sql.UpdateStmt:
 			pl, err := p.PlanUpdate(t, cl.Config().GDD)
@@ -1170,7 +1170,7 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 			}
 			up := pl.Root.(*plan.UpdatePlan)
 			return s.explainAnalyzeDML(ctx, pl.Root, pl.LockTable, pl.LockModeLevel, func(res *cluster.QueryResources) (int, error) {
-				return cl.RunUpdate(ctx, s.txn, cl.Snapshot(), up, pl.DirectSegment, res)
+				return cl.RunUpdate(ctx, s.txn, cl.TxnSnapshot(s.txn), up, pl.DirectSegment, res)
 			})
 		case *sql.DeleteStmt:
 			pl, err := p.PlanDelete(t, cl.Config().GDD)
@@ -1179,7 +1179,7 @@ func (s *Session) execExplain(ctx context.Context, x *sql.ExplainStmt, params []
 			}
 			dp := pl.Root.(*plan.DeletePlan)
 			return s.explainAnalyzeDML(ctx, pl.Root, pl.LockTable, pl.LockModeLevel, func(res *cluster.QueryResources) (int, error) {
-				return cl.RunDelete(ctx, s.txn, cl.Snapshot(), dp, pl.DirectSegment, res)
+				return cl.RunDelete(ctx, s.txn, cl.TxnSnapshot(s.txn), dp, pl.DirectSegment, res)
 			})
 		default:
 			return nil, fmt.Errorf("core: EXPLAIN ANALYZE supports SELECT, INSERT, UPDATE and DELETE (got %T)", x.Target)
@@ -1267,7 +1267,7 @@ func (s *Session) runPlannedSelect(ctx context.Context, pl *plan.Planned, scan *
 		res.ExecSpan = execSp.ID()
 	}
 	start := time.Now()
-	rows, schema, err := cl.RunSelect(ctx, s.txn, cl.Snapshot(), pl, res)
+	rows, schema, err := cl.RunSelect(ctx, s.txn, cl.TxnSnapshot(s.txn), pl, res)
 	elapsed := time.Since(start)
 	if ops != nil && res != nil && res.Trace != nil {
 		recordOpSpans(res.Trace, res.ExecSpan, pl.Root, ops, start)

@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/exec"
 )
 
 // spillTestConfig sizes a cluster so a constrained resource group's spill
@@ -97,10 +97,10 @@ func TestSpillResultEquality(t *testing.T) {
 	}
 }
 
-// spillTempDirs lists the gpspill temp directories currently on disk.
+// spillTempDirs lists this process's spill temp directories currently on disk.
 func spillTempDirs(t *testing.T) map[string]bool {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(os.TempDir(), "gpspill-*"))
+	matches, err := filepath.Glob(exec.SpillDirGlob())
 	if err != nil {
 		t.Fatal(err)
 	}

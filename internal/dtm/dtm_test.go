@@ -13,7 +13,7 @@ func TestCoordinatorSnapshots(t *testing.T) {
 	d1 := c.Begin()
 	c.MarkCommitted(d1)
 	d2 := c.Begin() // in progress
-	snap := c.Snapshot()
+	snap := c.Snapshot(InvalidDXID)
 	d3 := c.Begin() // after snapshot
 
 	if !snap.Sees(d1) {
@@ -38,15 +38,17 @@ func TestCoordinatorSnapshots(t *testing.T) {
 	}
 }
 
+// TestOldestInProgress: with no snapshot pinned, the horizon is the oldest
+// running dxid.
 func TestOldestInProgress(t *testing.T) {
 	c := NewCoordinator()
 	d1 := c.Begin()
 	d2 := c.Begin()
-	if c.OldestInProgress() != d1 {
+	if c.Horizon() != d1 {
 		t.Fatal("oldest")
 	}
 	c.MarkCommitted(d1)
-	if c.OldestInProgress() != d2 {
+	if c.Horizon() != d2 {
 		t.Fatal("oldest after commit")
 	}
 }
@@ -240,5 +242,93 @@ func TestViewSelfVisibility(t *testing.T) {
 	}
 	if !v.DistSees(4) {
 		t.Fatal("old committed dxid invisible")
+	}
+}
+
+// TestHorizonPinsSnapshotXmin: the horizon stops at the Xmin of every live
+// transaction's first snapshot, not at the oldest running dxid.
+func TestHorizonPinsSnapshotXmin(t *testing.T) {
+	c := NewCoordinator()
+	if c.Horizon() != 1 {
+		t.Fatalf("idle horizon %d, want 1", c.Horizon())
+	}
+	u := c.Begin()
+	r := c.Begin()
+	if snap := c.Snapshot(r); snap.Xmin != u {
+		t.Fatalf("snapshot Xmin %d, want %d", snap.Xmin, u)
+	}
+	c.MarkCommitted(u)
+	if c.Horizon() != u {
+		t.Fatalf("horizon %d passed %d while r's snapshot sees it running", c.Horizon(), u)
+	}
+	c.Snapshot(r) // a later statement's snapshot keeps the first pin
+	w := c.Begin()
+	c.MarkCommitted(w)
+	if c.Horizon() != u || c.HorizonAge() != int64(w+1-u) {
+		t.Fatalf("horizon %d age %d after an unrelated commit", c.Horizon(), c.HorizonAge())
+	}
+	c.MarkAborted(r)
+	if c.Horizon() != w+1 || c.HorizonAge() != 0 {
+		t.Fatalf("idle horizon %d age %d, want %d and 0", c.Horizon(), c.HorizonAge(), w+1)
+	}
+	x := c.Begin()
+	c.Snapshot(InvalidDXID) // unpinned: holds nothing back
+	c.MarkCommitted(x)
+	if c.Horizon() != x+1 {
+		t.Fatalf("horizon %d after an unpinned snapshot, want %d", c.Horizon(), x+1)
+	}
+}
+
+// TestHorizonProperty drives random begin/snapshot/end schedules and checks
+// the published horizon against its definition: monotone, never past the
+// Xmin of a live owner's first snapshot, and exactly the minimum of pins
+// and running dxids.
+func TestHorizonProperty(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		c := NewCoordinator()
+		rng := seed
+		next := func(n int) int {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			return int(rng % uint64(n))
+		}
+		pins := map[DXID]DXID{} // running → first snapshot's Xmin (0: none)
+		var last DXID
+		for step := 0; step < 500; step++ {
+			var live []DXID
+			for d := range pins {
+				live = append(live, d)
+			}
+			switch op := next(4); {
+			case op == 0 || len(live) == 0:
+				pins[c.Begin()] = 0
+			case op == 1:
+				d := live[next(len(live))]
+				s := c.Snapshot(d)
+				if pins[d] == 0 {
+					pins[d] = s.Xmin
+				}
+			default:
+				d := live[next(len(live))]
+				if next(2) == 0 {
+					c.MarkCommitted(d)
+				} else {
+					c.MarkAborted(d)
+				}
+				delete(pins, d)
+			}
+			want := DXID(c.HorizonAge()) + c.Horizon() // next dxid
+			for d, p := range pins {
+				if p == 0 {
+					p = d
+				}
+				want = min(want, p)
+			}
+			if h := c.Horizon(); h != want || h < last {
+				t.Fatalf("seed %d step %d: horizon %d, want %d (previous %d)", seed, step, h, want, last)
+			}
+			last = c.Horizon()
+		}
 	}
 }

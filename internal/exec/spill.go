@@ -123,6 +123,14 @@ const spillFileOverhead = spillBufSize
 // spillBufSize sizes a spill file's write and read buffers.
 const spillBufSize = 4 << 10
 
+// spillDirPrefix names spill directories after the owning process, so a
+// process's leak checks see only its own directories, not those of another
+// engine process sharing the temp dir.
+func spillDirPrefix() string { return fmt.Sprintf("gpspill-%d-", os.Getpid()) }
+
+// SpillDirGlob matches the spill directories this process has on disk.
+func SpillDirGlob() string { return filepath.Join(os.TempDir(), spillDirPrefix()+"*") }
+
 // newFile creates a spill file in the manager's (lazily created) temp
 // directory. seg is the spilling operator's segment id (for fault-point
 // matching); label names the file for diagnostics, e.g. "seg0-sort-run3".
@@ -133,7 +141,7 @@ func (m *SpillManager) newFile(seg int, label string) (*spillFile, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dir == "" {
-		dir, err := os.MkdirTemp("", "gpspill-")
+		dir, err := os.MkdirTemp("", spillDirPrefix())
 		if err != nil {
 			return nil, fmt.Errorf("exec: creating spill directory: %w", err)
 		}

@@ -3,7 +3,6 @@ package server_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/types"
@@ -123,7 +123,7 @@ func TestConnectionChurnChaos(t *testing.T) {
 			return len(seg.Locks().Dump()) == 0
 		})
 	}
-	if m, _ := filepath.Glob(filepath.Join(os.TempDir(), "gpspill-*")); len(m) != 0 {
+	if m, _ := filepath.Glob(exec.SpillDirGlob()); len(m) != 0 {
 		t.Errorf("spill temp dirs leaked after churn: %v", m)
 	}
 

@@ -182,13 +182,25 @@ func (s *Server) acceptLoop() {
 		s.mu.Unlock()
 		if over {
 			s.rejected.Add(1)
-			_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: "server: connection refused (at capacity or draining)"}).Encode())
-			_ = nc.Close()
+			s.wg.Add(1)
+			go s.refuse(nc)
 			continue
 		}
 		s.wg.Add(1)
 		go s.handleConn(nc)
 	}
+}
+
+// refuse answers a connection past capacity with an error frame. It reads
+// the client's startup frame before closing: closing a socket with unread
+// input resets the connection, and the reset can destroy the refusal
+// before the client reads it (the client then sees a bare broken pipe).
+func (s *Server) refuse(nc net.Conn) {
+	defer s.wg.Done()
+	_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: "server: connection refused (at capacity or draining)"}).Encode())
+	_ = nc.SetReadDeadline(time.Now().Add(time.Second))
+	_, _, _ = ReadFrame(nc) // the startup frame, or a timeout; either way done
+	_ = nc.Close()
 }
 
 // Shutdown drains gracefully: stop accepting, let in-flight statements

@@ -107,9 +107,9 @@ func (h *Heap) scanPages(begin, end int, opts *ScanOpts, batchSize int, fn func(
 			stop := min(start+batchSize, hi)
 			h.mu.RLock()
 			for i := start; i < stop; i++ {
-				t := h.tups[i]
-				if t.row == nil {
-					continue // vacuumed tombstone
+				t := h.slot(i)
+				if t == nil || t.row == nil {
+					continue // reclaimed slot
 				}
 				hdrs = append(hdrs, Header{TID: TupleID(i + 1), Xmin: t.xmin, Xmax: t.xmax, UpdatedTo: t.updatedTo})
 				rows = append(rows, t.row)
@@ -126,7 +126,7 @@ func (h *Heap) scanPages(begin, end int, opts *ScanOpts, batchSize int, fn func(
 	count := func() int {
 		h.mu.RLock()
 		defer h.mu.RUnlock()
-		return len(h.tups)
+		return h.n
 	}
 	scanRowPages(begin, end, opts, count, h.pageZone, emit)
 }
@@ -137,7 +137,7 @@ func (h *Heap) scanPages(begin, end int, opts *ScanOpts, batchSize int, fn func(
 // batch instead of once per row.
 func (h *Heap) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
 	h.mu.RLock()
-	n := len(h.tups)
+	n := h.n
 	h.mu.RUnlock()
 	h.scanPages(0, n, opts, batchSize, fn)
 }

@@ -49,6 +49,10 @@ func (e *ErrConcurrentWrite) Error() string {
 	return "storage: tuple version already locked by concurrent writer"
 }
 
+// ErrReclaimed is returned by SetXmax for a version Prune already
+// reclaimed: it was dead to every snapshot, so no writer may stamp it.
+var ErrReclaimed = errors.New("storage: tuple version was reclaimed")
+
 // ErrNotSupported marks operations an engine does not implement.
 var ErrNotSupported = errors.New("storage: operation not supported by this engine")
 
@@ -84,7 +88,8 @@ type Engine interface {
 	// Truncate discards all data.
 	Truncate()
 
-	// RowCount returns the number of stored versions (diagnostics).
+	// RowCount returns the number of stored versions, reclaimed ones
+	// excluded (diagnostics and planner estimates).
 	RowCount() int
 
 	// Bytes returns the approximate storage footprint, after compression for

@@ -15,18 +15,35 @@ import (
 // Suitable for frequent updates and deletes (paper Fig. 5), i.e. the OLTP
 // side of an HTAP workload.
 type Heap struct {
-	mu   sync.RWMutex
-	tups []heapTuple
+	mu sync.RWMutex
+	// pages hold the version slots, heapPageSlots per page: TupleID t lives
+	// in slot t-1. A full page whose every slot Prune reclaimed is released
+	// (nil); its TupleIDs stay retired, since ids are never reused.
+	pages []*heapPage
+	// n counts the slots ever allocated (the highest TupleID).
+	n int
+	// live counts the slots still holding a version (not reclaimed by
+	// Prune): RowCount's answer.
+	live int
 
 	// zones lazily summarizes full zonePageRows pages for predicated scans.
 	// Stored row values at an offset never change (UPDATE appends a new
-	// version, VACUUM only nils rows out), so built summaries stay
+	// version, Prune only nils rows out), so built summaries stay
 	// conservative; only Truncate resets them.
 	zones lazyZones
 
 	// wal, when attached, receives one record per mutation, appended under
 	// h.mu so the log order equals the mutation order.
 	wal walRef
+}
+
+// heapPageSlots is the number of version slots per heap page; a heap page
+// is also a zone-map page.
+const heapPageSlots = zonePageRows
+
+type heapPage struct {
+	tups []heapTuple
+	live int
 }
 
 // SetWAL implements WALLogged.
@@ -49,12 +66,38 @@ func NewHeap() *Heap { return &Heap{} }
 // Kind implements Engine.
 func (h *Heap) Kind() string { return "heap" }
 
+// slot returns slot i (TupleID i+1), or nil when it is out of range or on a
+// released page. Callers hold h.mu.
+func (h *Heap) slot(i int) *heapTuple {
+	if i < 0 || i >= h.n {
+		return nil
+	}
+	p := h.pages[i/heapPageSlots]
+	if p == nil {
+		return nil
+	}
+	return &p.tups[i%heapPageSlots]
+}
+
 // Insert implements Engine.
 func (h *Heap) Insert(x txn.XID, row types.Row) TupleID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.tups = append(h.tups, heapTuple{xmin: x, row: row.Clone()})
-	tid := TupleID(len(h.tups)) // 1-based; 0 is invalid
+	if h.n%heapPageSlots == 0 {
+		// The first page grows with the table; later ones are allocated
+		// whole, so growth never copies earlier pages.
+		c := heapPageSlots
+		if len(h.pages) == 0 {
+			c = 8
+		}
+		h.pages = append(h.pages, &heapPage{tups: make([]heapTuple, 0, c)})
+	}
+	p := h.pages[len(h.pages)-1]
+	p.tups = append(p.tups, heapTuple{xmin: x, row: row.Clone()})
+	p.live++
+	h.live++
+	h.n++
+	tid := TupleID(h.n) // 1-based; 0 is invalid
 	h.wal.logInsert(tid, x, row)
 	return tid
 }
@@ -62,14 +105,17 @@ func (h *Heap) Insert(x txn.XID, row types.Row) TupleID {
 // ForEach implements Engine.
 func (h *Heap) ForEach(fn func(hdr Header, row types.Row) bool) {
 	h.mu.RLock()
-	n := len(h.tups)
+	n := h.n
 	h.mu.RUnlock()
 	for i := 0; i < n; i++ {
 		h.mu.RLock()
-		t := h.tups[i]
+		var t heapTuple
+		if s := h.slot(i); s != nil {
+			t = *s
+		}
 		h.mu.RUnlock()
 		if t.row == nil {
-			continue // vacuumed tombstone
+			continue // reclaimed slot
 		}
 		hdr := Header{TID: TupleID(i + 1), Xmin: t.xmin, Xmax: t.xmax, UpdatedTo: t.updatedTo}
 		if !fn(hdr, t.row) {
@@ -82,11 +128,10 @@ func (h *Heap) ForEach(fn func(hdr Header, row types.Row) bool) {
 func (h *Heap) Fetch(tid TupleID) (Header, types.Row, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	i := int(tid) - 1
-	if i < 0 || i >= len(h.tups) || h.tups[i].row == nil {
+	t := h.slot(int(tid) - 1)
+	if t == nil || t.row == nil {
 		return Header{}, nil, false
 	}
-	t := h.tups[i]
 	return Header{TID: tid, Xmin: t.xmin, Xmax: t.xmax, UpdatedTo: t.updatedTo}, t.row, true
 }
 
@@ -95,10 +140,13 @@ func (h *Heap) SetXmax(tid TupleID, x txn.XID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	i := int(tid) - 1
-	if i < 0 || i >= len(h.tups) {
+	if i < 0 || i >= h.n {
 		return ErrNotSupported
 	}
-	t := &h.tups[i]
+	t := h.slot(i)
+	if t == nil || t.row == nil {
+		return ErrReclaimed
+	}
 	if t.xmax != txn.InvalidXID && t.xmax != x {
 		return &ErrConcurrentWrite{Holder: t.xmax}
 	}
@@ -111,12 +159,8 @@ func (h *Heap) SetXmax(tid TupleID, x txn.XID) error {
 func (h *Heap) ClearXmax(tid TupleID, prev txn.XID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := int(tid) - 1
-	if i < 0 || i >= len(h.tups) {
-		return
-	}
-	t := &h.tups[i]
-	if t.xmax == prev {
+	t := h.slot(int(tid) - 1)
+	if t != nil && t.xmax == prev {
 		t.xmax = txn.InvalidXID
 		t.updatedTo = InvalidTupleID
 		h.wal.logOp(wal.TypeClearXmax, tid, prev, 0)
@@ -127,9 +171,8 @@ func (h *Heap) ClearXmax(tid TupleID, prev txn.XID) {
 func (h *Heap) LinkUpdate(old, new TupleID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := int(old) - 1
-	if i >= 0 && i < len(h.tups) {
-		h.tups[i].updatedTo = new
+	if t := h.slot(int(old) - 1); t != nil {
+		t.updatedTo = new
 		h.wal.logOp(wal.TypeLinkUpdate, old, 0, new)
 	}
 }
@@ -137,7 +180,9 @@ func (h *Heap) LinkUpdate(old, new TupleID) {
 // Truncate implements Engine.
 func (h *Heap) Truncate() {
 	h.mu.Lock()
-	h.tups = nil
+	h.pages = nil
+	h.n = 0
+	h.live = 0
 	h.wal.logOp(wal.TypeTruncate, 0, 0, 0)
 	h.mu.Unlock()
 	h.zones.reset()
@@ -155,29 +200,31 @@ func (h *Heap) pageZone(page int) *ZoneMap {
 	return h.zones.zone(page, func() *ZoneMap {
 		h.mu.RLock()
 		defer h.mu.RUnlock()
-		begin := page * zonePageRows
-		end := min(begin+zonePageRows, len(h.tups))
+		var tups []heapTuple
+		if p := h.pages[page]; p != nil {
+			tups = p.tups
+		}
 		ncols := 0
-		for i := begin; i < end; i++ {
-			if r := h.tups[i].row; r != nil && len(r) > ncols {
-				ncols = len(r)
+		for _, t := range tups {
+			if t.row != nil && len(t.row) > ncols {
+				ncols = len(t.row)
 			}
 		}
 		z := newZoneBuilder(ncols)
-		for i := begin; i < end; i++ {
-			if r := h.tups[i].row; r != nil {
-				z.absorb(r)
+		for _, t := range tups {
+			if t.row != nil {
+				z.absorb(t.row)
 			}
 		}
 		return z
 	})
 }
 
-// RowCount implements Engine.
+// RowCount implements Engine: stored versions, not counting reclaimed slots.
 func (h *Heap) RowCount() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.tups)
+	return h.live
 }
 
 // Bytes implements Engine.
@@ -185,31 +232,48 @@ func (h *Heap) Bytes() int64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	var n int64
-	for i := range h.tups {
-		n += h.tups[i].row.Size() + 32 // header overhead
+	for _, p := range h.pages {
+		if p == nil {
+			continue
+		}
+		for i := range p.tups {
+			n += p.tups[i].row.Size() + 32 // header overhead
+		}
 	}
 	return n
 }
 
-// Vacuum removes dead versions: versions whose xmax committed before the
-// horizon, or whose xmin aborted. It returns the number reclaimed. Slots are
-// compacted away but TupleIDs of surviving tuples are preserved by keeping a
-// tombstone, so the method only frees row payloads (like lazy VACUUM).
-func (h *Heap) Vacuum(isDead func(hdr Header) bool) int {
+// Prune reclaims the versions tids — like PostgreSQL's heap_page_prune, the
+// caller has established that no live or future snapshot can see them. A
+// reclaimed slot keeps its TupleID (ids are never reused) but frees its
+// payload; ForEach and Fetch skip it. Prune returns, aligned with tids, the
+// row each reclaimed version held — nil for a tid already reclaimed or out
+// of range — so the caller can drop the versions' index entries. The
+// reclaimed tids are WAL-logged as one Prune record.
+func (h *Heap) Prune(tids []TupleID) []types.Row {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := 0
-	for i := range h.tups {
-		t := &h.tups[i]
-		if t.row == nil {
+	rows := make([]types.Row, len(tids))
+	var logged []uint64
+	for k, tid := range tids {
+		i := int(tid) - 1
+		t := h.slot(i)
+		if t == nil || t.row == nil {
 			continue
 		}
-		hdr := Header{TID: TupleID(i + 1), Xmin: t.xmin, Xmax: t.xmax, UpdatedTo: t.updatedTo}
-		if isDead(hdr) {
-			t.row = nil
-			t.xmin = txn.InvalidXID
-			n++
+		rows[k] = t.row
+		*t = heapTuple{}
+		h.live--
+		p := h.pages[i/heapPageSlots]
+		if p.live--; p.live == 0 && len(p.tups) == heapPageSlots {
+			h.pages[i/heapPageSlots] = nil
+		}
+		if h.wal.enabled() {
+			logged = append(logged, uint64(tid))
 		}
 	}
-	return n
+	if len(logged) > 0 {
+		h.wal.logPrune(logged)
+	}
+	return rows
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/types"
@@ -61,6 +62,43 @@ func (ix *HashIndex) Matches(row types.Row, key []types.Datum) bool {
 		}
 	}
 	return true
+}
+
+// Delete removes the entries of reclaimed versions: tids[i] was indexed
+// under rows[i]. Tuple ids are never reused, so only those entries go. It
+// returns the number of entries removed.
+func (ix *HashIndex) Delete(rows []types.Row, tids []TupleID) int {
+	gone := slices.Clone(tids)
+	slices.Sort(gone)
+	var hashes []uint64 // distinct buckets; usually one
+	for _, row := range rows {
+		if h := row.Hash(ix.keyCols); !slices.Contains(hashes, h) {
+			hashes = append(hashes, h)
+		}
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	n := 0
+	for _, h := range hashes {
+		b := ix.buckets[h]
+		kept := b[:0]
+		for _, tid := range b {
+			if _, found := slices.BinarySearch(gone, tid); found {
+				n++
+				continue
+			}
+			kept = append(kept, tid)
+		}
+		switch {
+		case len(kept) == 0:
+			delete(ix.buckets, h)
+		case cap(kept) > 4*len(kept)+8:
+			ix.buckets[h] = slices.Clone(kept) // release a once-bloated bucket
+		default:
+			ix.buckets[h] = kept
+		}
+	}
+	return n
 }
 
 // Truncate discards all entries.

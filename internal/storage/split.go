@@ -74,7 +74,7 @@ func splitEven(count, n int) []BlockRange {
 // SplitBlocks implements BlockSplitter for the heap engine.
 func (h *Heap) SplitBlocks(n int) []BlockRange {
 	h.mu.RLock()
-	count := len(h.tups)
+	count := h.n
 	h.mu.RUnlock()
 	return splitEven(count, n)
 }
@@ -82,7 +82,7 @@ func (h *Heap) SplitBlocks(n int) []BlockRange {
 // ForEachBatchRange implements BlockSplitter for the heap engine.
 func (h *Heap) ForEachBatchRange(r BlockRange, opts *ScanOpts, batchSize int, fn func(hdrs []Header, rows []types.Row) bool) {
 	h.mu.RLock()
-	n := len(h.tups)
+	n := h.n
 	h.mu.RUnlock()
 	begin, end := clampRange(r, n)
 	h.scanPages(begin, end, opts, batchSize, fn)

@@ -127,9 +127,15 @@ func TestHeapVacuum(t *testing.T) {
 	t1 := h.Insert(1, row(1, 1))
 	t2 := h.Insert(1, row(2, 2))
 	_ = h.SetXmax(t1, 2)
-	reclaimed := h.Vacuum(func(hdr Header) bool { return hdr.Xmax == 2 })
-	if reclaimed != 1 {
-		t.Fatalf("reclaimed = %d", reclaimed)
+	rows := h.Prune([]TupleID{t1})
+	if len(rows) != 1 || rows[0] == nil || rows[0][0].Int() != 1 {
+		t.Fatalf("prune returned %v", rows)
+	}
+	if again := h.Prune([]TupleID{t1, 99}); again[0] != nil || again[1] != nil {
+		t.Fatalf("re-prune of a reclaimed or missing tid returned %v", again)
+	}
+	if h.RowCount() != 1 {
+		t.Fatalf("RowCount = %d after prune, want 1", h.RowCount())
 	}
 	if _, _, ok := h.Fetch(t1); ok {
 		t.Fatal("dead tuple still fetchable")

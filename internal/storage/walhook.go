@@ -40,6 +40,11 @@ func (w *walRef) logOp(t wal.Type, tid TupleID, x txn.XID, tid2 TupleID) {
 	w.log.Append(&r)
 }
 
+func (w *walRef) logPrune(tids []uint64) {
+	r := wal.Record{Type: wal.TypePrune, Leaf: w.leaf, TIDs: tids}
+	w.log.Append(&r)
+}
+
 // WALLogged is implemented by engines that can emit write-ahead log records.
 type WALLogged interface {
 	// SetWAL attaches the segment log; subsequent mutations append records
@@ -77,6 +82,22 @@ func ApplyRecord(e Engine, r wal.Record) error {
 		e.LinkUpdate(TupleID(r.TID), TupleID(r.TID2))
 	case wal.TypeTruncate:
 		e.Truncate()
+	case wal.TypePrune:
+		// Only the heap reclaims in place; the append-optimized engines
+		// never emit prune records, so there is nothing to replay there.
+		h, ok := e.(*Heap)
+		if !ok {
+			break
+		}
+		tids := make([]TupleID, len(r.TIDs))
+		for i, tid := range r.TIDs {
+			tids[i] = TupleID(tid)
+		}
+		for i, row := range h.Prune(tids) {
+			if row == nil {
+				return fmt.Errorf("storage: replay of prune found tid %d already reclaimed or missing", tids[i])
+			}
+		}
 	default:
 		return fmt.Errorf("storage: %v is not a storage record", r.Type)
 	}

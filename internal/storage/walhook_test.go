@@ -33,6 +33,13 @@ func driveEngine(t *testing.T, e Engine) {
 	if err := e.SetXmax(3, 6); err != nil {
 		t.Fatal(err)
 	}
+	// Reclaim a few versions, one of them twice (the second is a no-op and
+	// logs nothing). Only the heap prunes in place; for the append-optimized
+	// engines a prune record is a replay no-op, appended by the caller.
+	if h, ok := e.(*Heap); ok {
+		h.Prune([]TupleID{3, 7, 8})
+		h.Prune([]TupleID{8, 9})
+	}
 }
 
 func engineState(e Engine) []struct {
@@ -68,11 +75,18 @@ func TestWALReplayReproducesEngines(t *testing.T) {
 			primary := tc.fresh()
 			primary.(WALLogged).SetWAL(log, 77)
 			driveEngine(t, primary)
+			if _, isHeap := primary.(*Heap); !isHeap {
+				log.Append(&wal.Record{Type: wal.TypePrune, Leaf: 77, TIDs: []uint64{3, 7}})
+			}
+			pruned := 0
 
 			replica := tc.fresh()
 			if err := log.ReplayFrom(1, func(r wal.Record) error {
 				if r.Leaf != 77 {
 					t.Fatalf("record leaf %d", r.Leaf)
+				}
+				if r.Type == wal.TypePrune {
+					pruned += len(r.TIDs)
 				}
 				return ApplyRecord(replica, r)
 			}); err != nil {
@@ -97,8 +111,14 @@ func TestWALReplayReproducesEngines(t *testing.T) {
 					}
 				}
 			}
+			if pruned != 4 && pruned != 2 {
+				t.Fatalf("replayed %d pruned tids, want 4 (heap) or 2 (append-optimized)", pruned)
+			}
 			if primary.RowCount() != replica.RowCount() {
 				t.Fatalf("row counts differ: %d vs %d", primary.RowCount(), replica.RowCount())
+			}
+			if primary.RowCount() != len(want) {
+				t.Fatalf("RowCount %d, but %d versions are stored", primary.RowCount(), len(want))
 			}
 		})
 	}

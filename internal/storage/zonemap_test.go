@@ -266,7 +266,11 @@ func TestHeapZonesSurviveVacuumAndResetOnTruncate(t *testing.T) {
 		t.Fatalf("pre-vacuum rows: %d", len(rows))
 	}
 	// Vacuum everything in page 0.
-	h.Vacuum(func(hdr Header) bool { return int(hdr.TID) <= zonePageRows })
+	page0 := make([]TupleID, zonePageRows)
+	for i := range page0 {
+		page0[i] = TupleID(i + 1)
+	}
+	h.Prune(page0)
 	rows, _ := scanWith(h, eqPred(0, 3))
 	if len(rows) != 0 {
 		t.Fatalf("post-vacuum rows: %d (tombstones emitted?)", len(rows))

@@ -54,9 +54,8 @@ func (k Kind) String() string {
 // at most one word of numeric payload plus an optional string.
 type Datum struct {
 	kind Kind
-	i    int64   // int, bool (0/1), date (days since epoch)
-	f    float64 // float
-	s    string  // text
+	i    int64  // int, bool (0/1), date (days since epoch), float (IEEE bits)
+	s    string // text
 }
 
 // Null is the NULL datum.
@@ -66,7 +65,7 @@ var Null = Datum{kind: KindNull}
 func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
 
 // NewFloat returns a float datum.
-func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewText returns a text datum.
 func NewText(v string) Datum { return Datum{kind: KindText, s: v} }
@@ -94,21 +93,29 @@ func (d Datum) Kind() Kind { return d.kind }
 func (d Datum) IsNull() bool { return d.kind == KindNull }
 
 // Int returns the integer payload. It is valid for int and date datums.
-func (d Datum) Int() int64 { return d.i }
+func (d Datum) Int() int64 {
+	if d.kind == KindFloat {
+		return 0
+	}
+	return d.i
+}
 
 // Float returns the float payload, converting ints transparently.
 func (d Datum) Float() float64 {
-	if d.kind == KindInt {
+	switch d.kind {
+	case KindInt:
 		return float64(d.i)
+	case KindFloat:
+		return math.Float64frombits(uint64(d.i))
 	}
-	return d.f
+	return 0
 }
 
 // Text returns the string payload.
 func (d Datum) Text() string { return d.s }
 
 // Bool returns the boolean payload.
-func (d Datum) Bool() bool { return d.i != 0 }
+func (d Datum) Bool() bool { return d.kind != KindFloat && d.i != 0 }
 
 // String renders the datum the way a SQL client would print it.
 func (d Datum) String() string {
@@ -118,7 +125,7 @@ func (d Datum) String() string {
 	case KindInt:
 		return strconv.FormatInt(d.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.FormatFloat(d.Float(), 'g', -1, 64)
 	case KindText:
 		return d.s
 	case KindBool:
@@ -241,7 +248,7 @@ func (d Datum) Hash() uint64 {
 			}
 		}
 	case KindFloat:
-		u := math.Float64bits(d.f)
+		u := uint64(d.i)
 		for s := 0; s < 64; s += 8 {
 			mix(byte(u >> s))
 		}
@@ -264,7 +271,7 @@ func (d Datum) CastTo(k Kind) (Datum, error) {
 	case KindInt:
 		switch d.kind {
 		case KindFloat:
-			return NewInt(int64(d.f)), nil
+			return NewInt(int64(d.Float())), nil
 		case KindText:
 			v, err := strconv.ParseInt(d.s, 10, 64)
 			if err != nil {

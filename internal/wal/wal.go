@@ -62,6 +62,9 @@ const (
 	// the replica clog in step but carries no durable state, so the
 	// standby applies it without charging a flush.
 	TypeCommitRO
+	// TypePrune records the reclamation of dead tuple versions (leaf +
+	// tids), so replicas and crash recovery reclaim exactly the same slots.
+	TypePrune
 )
 
 func (t Type) String() string {
@@ -86,6 +89,8 @@ func (t Type) String() string {
 		return "abort"
 	case TypeCommitRO:
 		return "commit-ro"
+	case TypePrune:
+		return "prune"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -107,6 +112,8 @@ type Record struct {
 	TID2 uint64
 	// Row is the inserted tuple (Insert records).
 	Row types.Row
+	// TIDs lists the reclaimed tuple ids (Prune records).
+	TIDs []uint64
 }
 
 // ErrCorrupt is returned when a frame fails CRC or structural validation.
@@ -115,8 +122,9 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // ---- record codec ----
 
 // Frame layout: u32 payload length, u32 CRC32(payload), payload. The
-// payload is: u8 type, u64 lsn, then uvarint leaf/xid/dxid/tid/tid2 and the
-// optional row. Self-framing means a reader needs no external index: it can
+// payload is: u8 type, u64 lsn, then uvarint leaf/xid/dxid/tid/tid2, the
+// optional row and — for Prune records only — uvarint count plus one uvarint
+// per tid. Self-framing means a reader needs no external index: it can
 // walk the byte stream record by record and detect truncation or damage.
 
 // EncodeRecord appends r's frame to dst and returns the extended slice.
@@ -132,6 +140,12 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 	dst = binary.AppendUvarint(dst, r.TID)
 	dst = binary.AppendUvarint(dst, r.TID2)
 	dst = appendRow(dst, r.Row)
+	if r.Type == TypePrune {
+		dst = binary.AppendUvarint(dst, uint64(len(r.TIDs)))
+		for _, tid := range r.TIDs {
+			dst = binary.AppendUvarint(dst, tid)
+		}
+	}
 	payload := dst[p:]
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
@@ -184,6 +198,21 @@ func decodePayload(p []byte) (Record, error) {
 	}
 	if r.Row, p, err = decodeRow(p); err != nil {
 		return Record{}, err
+	}
+	if r.Type == TypePrune {
+		var n uint64
+		if n, p, err = uvarint(p); err != nil {
+			return Record{}, err
+		}
+		if n > uint64(len(p)) { // every tid takes at least one byte
+			return Record{}, fmt.Errorf("%w: prune record claims %d tids in %d bytes", ErrCorrupt, n, len(p))
+		}
+		r.TIDs = make([]uint64, n)
+		for i := range r.TIDs {
+			if r.TIDs[i], p, err = uvarint(p); err != nil {
+				return Record{}, err
+			}
+		}
 	}
 	if len(p) != 0 {
 		return Record{}, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p))
@@ -294,8 +323,15 @@ func decodeRow(p []byte) (types.Row, []byte, error) {
 // separate mutex so a long simulated fsync doesn't block concurrent
 // appends — late appenders ride the next sync (group commit).
 type Log struct {
-	mu      sync.Mutex
-	buf     []byte
+	mu sync.Mutex
+	// chunks is the encoded log image, cut into chunks of at least
+	// chunkSize bytes. A frame never straddles two chunks and a chunk's
+	// bytes below its length are never rewritten, so frame slices handed to
+	// the shipper and chunk headers copied by readers stay valid without
+	// copying the image; growth allocates one new chunk instead of copying
+	// the whole image the way a doubling buffer does.
+	chunks  [][]byte
+	scratch []byte // Append's encode buffer
 	nextLSN LSN
 	ship    func(lsn LSN, frame []byte)
 
@@ -324,9 +360,47 @@ type Log struct {
 	failErr atomic.Pointer[error]
 }
 
+// chunkSize is the allocation unit of the log image.
+const chunkSize = 256 << 10
+
 // New returns an empty log whose first record gets LSN 1.
 func New() *Log {
 	return &Log{nextLSN: 1}
+}
+
+// put appends frame bytes to the image and returns the stored copy. A frame
+// that does not fit the tail chunk's spare capacity opens a new chunk.
+// Callers hold l.mu.
+func (l *Log) put(frame []byte) []byte {
+	last := len(l.chunks) - 1
+	if last < 0 || cap(l.chunks[last])-len(l.chunks[last]) < len(frame) {
+		l.chunks = append(l.chunks, make([]byte, 0, max(chunkSize, len(frame))))
+		last++
+	}
+	c := append(l.chunks[last], frame...)
+	l.chunks[last] = c
+	return c[len(c)-len(frame):]
+}
+
+// eachFrame walks the frames of an image in order, calling fn with each
+// frame's global byte offset, its bytes and its decoded record; it stops at
+// the first frame that fails to decode, returning that offset and error.
+func eachFrame(chunks [][]byte, fn func(off int, frame []byte, r Record) error) (int, error) {
+	off := 0
+	for _, c := range chunks {
+		for at := 0; at < len(c); {
+			r, n, err := DecodeFrame(c[at:])
+			if err != nil {
+				return off, err
+			}
+			if err := fn(off, c[at:at+n], r); err != nil {
+				return off, err
+			}
+			at += n
+			off += n
+		}
+	}
+	return off, nil
 }
 
 // AttachFaults wires the fault registry (and this log's segment id for spec
@@ -383,16 +457,15 @@ func (l *Log) Append(r *Record) LSN {
 		if cut >= len(frame) {
 			cut = len(frame) - 1
 		}
-		l.buf = append(l.buf, frame[:cut]...)
+		l.put(frame[:cut])
 		l.bytes.Add(int64(cut))
 		l.wedge(fmt.Errorf("wal: torn write of LSN %d (%d of %d bytes)", r.LSN, cut, len(frame)))
 		return 0
 	}
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	start := len(l.buf)
-	l.buf = EncodeRecord(l.buf, r)
-	frame := l.buf[start:]
+	l.scratch = EncodeRecord(l.scratch[:0], r)
+	frame := l.put(l.scratch)
 	l.records.Add(1)
 	l.bytes.Add(int64(len(frame)))
 	if l.ship != nil {
@@ -423,11 +496,11 @@ func (l *Log) AppendFrame(frame []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: frame out of sequence: got LSN %d, want %d", r.LSN, l.nextLSN)
 	}
 	l.nextLSN++
-	l.buf = append(l.buf, frame...)
+	stored := l.put(frame)
 	l.records.Add(1)
 	l.bytes.Add(int64(len(frame)))
 	if l.ship != nil {
-		l.ship(r.LSN, l.buf[len(l.buf)-len(frame):])
+		l.ship(r.LSN, stored)
 	}
 	return r, nil
 }
@@ -497,8 +570,11 @@ func (l *Log) Stats() (records, bytes, flushes int64) {
 func (l *Log) AttachShip(fn func(lsn LSN, frame []byte)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	frames, err := splitFrames(l.buf)
-	if err != nil {
+	var frames [][]byte
+	if _, err := eachFrame(l.chunks, func(_ int, frame []byte, _ Record) error {
+		frames = append(frames, frame)
+		return nil
+	}); err != nil {
 		return err
 	}
 	for i, f := range frames {
@@ -515,48 +591,31 @@ func (l *Log) DetachShip() {
 	l.mu.Unlock()
 }
 
-// splitFrames cuts an encoded log image into per-record frames (copies, so
-// callers own them independently of the live buffer).
-func splitFrames(buf []byte) ([][]byte, error) {
-	var out [][]byte
-	for off := 0; off < len(buf); {
-		_, n, err := DecodeFrame(buf[off:])
-		if err != nil {
-			return nil, err
-		}
-		frame := make([]byte, n)
-		copy(frame, buf[off:off+n])
-		out = append(out, frame)
-		off += n
-	}
-	return out, nil
-}
-
 // ReplayFrom decodes the log image and invokes fn for every record with
 // LSN >= from, in order, verifying framing, CRCs and LSN sequence. Replay
 // reads a snapshot of the log taken at call time.
 func (l *Log) ReplayFrom(from LSN, fn func(Record) error) error {
 	l.mu.Lock()
-	img := make([]byte, len(l.buf))
-	copy(img, l.buf)
+	img := append([][]byte(nil), l.chunks...) // the bytes below each length never change
 	l.mu.Unlock()
 	want := LSN(1)
-	for off := 0; off < len(img); {
-		r, n, err := DecodeFrame(img[off:])
-		if err != nil {
-			return fmt.Errorf("wal: replay at offset %d: %w", off, err)
-		}
+	var stop error // a sequence gap or fn's error, returned as is
+	off, err := eachFrame(img, func(off int, _ []byte, r Record) error {
 		if r.LSN != want {
-			return fmt.Errorf("wal: replay out of sequence at offset %d: got LSN %d, want %d", off, r.LSN, want)
+			stop = fmt.Errorf("wal: replay out of sequence at offset %d: got LSN %d, want %d", off, r.LSN, want)
+			return stop
 		}
 		want++
-		off += n
-		if r.LSN < from {
-			continue
+		if r.LSN >= from {
+			stop = fn(r)
 		}
-		if err := fn(r); err != nil {
-			return err
-		}
+		return stop
+	})
+	if stop != nil {
+		return stop
+	}
+	if err != nil {
+		return fmt.Errorf("wal: replay at offset %d: %w", off, err)
 	}
 	return nil
 }
@@ -566,8 +625,14 @@ func (l *Log) ReplayFrom(from LSN, fn func(Record) error) error {
 func (l *Log) Snapshot() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	img := make([]byte, len(l.buf))
-	copy(img, l.buf)
+	n := 0
+	for _, c := range l.chunks {
+		n += len(c)
+	}
+	img := make([]byte, 0, n)
+	for _, c := range l.chunks {
+		img = append(img, c...)
+	}
 	return img
 }
 
@@ -583,19 +648,40 @@ func (l *Log) Snapshot() []byte {
 func (l *Log) RecoverTruncate() (LSN, int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	good := 0
 	want := LSN(1)
-	for good < len(l.buf) {
-		r, n, err := DecodeFrame(l.buf[good:])
-		if err != nil || r.LSN != want {
-			break
+	errGap := errors.New("gap")
+	good, _ := eachFrame(l.chunks, func(_ int, _ []byte, r Record) error {
+		if r.LSN != want {
+			return errGap
 		}
 		want++
-		good += n
+		return nil
+	})
+	total := 0
+	for _, c := range l.chunks {
+		total += len(c)
 	}
-	dropped := len(l.buf) - good
+	dropped := total - good
 	if dropped > 0 {
-		l.buf = l.buf[:good]
+		// Keep whole chunks below the cut; the chunk holding it is copied
+		// into a fresh one, so bytes a reader may still hold are never
+		// overwritten by later appends.
+		var kept [][]byte
+		for _, c := range l.chunks {
+			if good <= 0 {
+				break
+			}
+			if len(c) <= good {
+				kept = append(kept, c)
+				good -= len(c)
+				continue
+			}
+			fresh := make([]byte, good, max(chunkSize, good))
+			copy(fresh, c[:good])
+			kept = append(kept, fresh)
+			good = 0
+		}
+		l.chunks = kept
 		l.bytes.Add(int64(-dropped))
 	}
 	l.nextLSN = want

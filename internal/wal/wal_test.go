@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/types"
 )
 
@@ -26,7 +29,11 @@ func sampleRecords() []Record {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	for _, want := range sampleRecords() {
+	prunes := []Record{
+		{Type: TypePrune, Leaf: 3, TIDs: []uint64{1, 2, 300000}},
+		{Type: TypePrune, Leaf: 3, TIDs: []uint64{}},
+	}
+	for _, want := range append(sampleRecords(), prunes...) {
 		want.LSN = 5
 		frame := EncodeRecord(nil, &want)
 		got, n, err := DecodeFrame(frame)
@@ -42,6 +49,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if len(got.Row) != len(want.Row) {
 			t.Fatalf("%v: row len %d want %d", want.Type, len(got.Row), len(want.Row))
+		}
+		if !slices.Equal(got.TIDs, want.TIDs) {
+			t.Fatalf("%v: tids %v want %v", want.Type, got.TIDs, want.TIDs)
 		}
 		if (got.Row == nil) != (want.Row == nil) {
 			t.Fatalf("%v: row nil-ness differs", want.Type)
@@ -169,5 +179,64 @@ func TestFlushGroupCommit(t *testing.T) {
 	}
 	if _, _, flushes := l.Stats(); flushes >= 1+8 {
 		t.Fatalf("no group commit: %d syncs for 8 committers", flushes-1)
+	}
+}
+
+// TestImageSpansChunks: an image larger than one chunk — with a frame
+// bigger than a chunk in the middle — replays, ships and snapshots as one
+// contiguous byte stream, and recovery truncates a torn tail that opened a
+// fresh chunk without disturbing the frames before it.
+func TestImageSpansChunks(t *testing.T) {
+	l := New()
+	var want []byte
+	big := types.Row{types.NewText(string(make([]byte, chunkSize+100)))}
+	const n = 6000
+	for i := 0; i < n; i++ {
+		r := Record{Type: TypeInsert, Leaf: 1, Xid: uint64(i), TID: uint64(i + 1),
+			Row: types.Row{types.NewInt(int64(i)), types.NewText("payload-payload-payload")}}
+		if i == n/2 {
+			r.Row = big
+		}
+		l.Append(&r)
+		want = EncodeRecord(want, &r)
+	}
+	if len(want) < 2*chunkSize {
+		t.Fatalf("image of %d bytes does not span chunks", len(want))
+	}
+	if got := l.Snapshot(); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot differs from the concatenated frames (%d vs %d bytes)", len(got), len(want))
+	}
+	if _, b, _ := l.Stats(); b != int64(len(want)) {
+		t.Fatalf("byte counter %d, image %d", b, len(want))
+	}
+	var shipped []byte
+	if err := l.AttachShip(func(_ LSN, f []byte) { shipped = append(shipped, f...) }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shipped, want) {
+		t.Fatal("catch-up shipping differs from the image")
+	}
+	seen := 0
+	if err := l.ReplayFrom(n-10, func(Record) error { seen++; return nil }); err != nil || seen != 11 {
+		t.Fatalf("replay from %d saw %d records (%v), want 11", n-10, seen, err)
+	}
+
+	reg := fault.NewRegistry()
+	l.AttachFaults(reg, 0)
+	if err := reg.Arm(fault.Spec{Point: fault.WALAppend, Seg: 0, Action: fault.ActTornWrite, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	l.Append(&Record{Type: TypeInsert, Leaf: 1, Row: big})
+	if last, dropped := l.RecoverTruncate(); last != n || dropped == 0 {
+		t.Fatalf("recovered to LSN %d dropping %d bytes", last, dropped)
+	}
+	if got := l.Snapshot(); !bytes.Equal(got, want) {
+		t.Fatal("recovered image differs from the pre-crash frames")
+	}
+	if lsn := l.Append(&Record{Type: TypeCommit, Xid: 1}); lsn != n+1 {
+		t.Fatalf("post-recovery append got LSN %d", lsn)
+	}
+	if !bytes.Equal(shipped[:len(want)], want) {
+		t.Fatal("recovery rewrote bytes already shipped")
 	}
 }
