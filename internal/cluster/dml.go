@@ -95,7 +95,7 @@ func (s *Segment) collectTargets(ctx context.Context, a *storeAccess, t *catalog
 					out = append(out, dmlTarget{leaf: leaf, tid: tid})
 				}
 			}
-			s.prune(st, dead.tids)
+			s.prune(st, dead.versions)
 			continue
 		}
 		var iterErr error
@@ -378,7 +378,10 @@ func (s *Segment) LockRelation(ctx context.Context, dxid dtm.DXID, t *catalog.Ta
 
 // Vacuum reclaims every dead heap version of a table through the same
 // primitive the probe paths use: same horizon, index entries dropped with
-// the versions, one WAL-logged prune record per leaf.
+// the versions, one WAL-logged prune record per leaf. It takes no relation
+// lock: Heap.Prune skips a slot a concurrent TRUNCATE and INSERT refilled
+// between the scan and the prune, and drops index entries under the heap
+// lock, so the refilled row keeps its entry.
 func (s *Segment) Vacuum(t *catalog.Table) int {
 	reclaimed := 0
 	for _, leaf := range leafIDs(t) {
@@ -386,24 +389,32 @@ func (s *Segment) Vacuum(t *catalog.Table) int {
 		if err != nil {
 			continue
 		}
-		dead := s.newPruneSet(st)
+		reclaimed += s.prune(st, s.deadVersions(st))
+	}
+	return reclaimed
+}
+
+// deadVersions scans a leaf for the versions no live or future snapshot
+// can see: VACUUM's collect step.
+func (s *Segment) deadVersions(st *segTable) []storage.Header {
+	dead := s.newPruneSet(st)
+	if dead.heap {
 		st.engine.ForEach(func(h storage.Header, _ types.Row) bool {
 			dead.consider(h)
 			return true
 		})
-		reclaimed += s.prune(st, dead.tids)
 	}
-	return reclaimed
+	return dead.versions
 }
 
 // pruneSet gathers the dead versions one probe or VACUUM pass met on one
 // leaf, for Segment.prune. Only heap leaves reclaim in place; for any other
 // engine the set stays empty.
 type pruneSet struct {
-	seg     *Segment
-	heap    bool
-	horizon dtm.DXID // loaded on first use: one atomic load per pass
-	tids    []storage.TupleID
+	seg      *Segment
+	heap     bool
+	horizon  dtm.DXID // loaded on first use: one atomic load per pass
+	versions []storage.Header
 }
 
 func (s *Segment) newPruneSet(st *segTable) pruneSet {
@@ -421,7 +432,7 @@ func (p *pruneSet) consider(h storage.Header) {
 		p.horizon = p.seg.horizon()
 	}
 	if p.seg.reclaimable(h, p.horizon) {
-		p.tids = append(p.tids, h.TID)
+		p.versions = append(p.versions, h)
 	}
 }
 
@@ -443,28 +454,20 @@ func (s *Segment) reclaimable(h storage.Header, horizon dtm.DXID) bool {
 }
 
 // prune is the reclamation primitive, the heap_page_prune of this engine:
-// it reclaims the dead versions tids of one heap leaf (Heap.Prune WAL-logs
-// them, so mirrors and crash recovery reclaim the same slots) and drops
-// their index entries. It returns the number of versions reclaimed; a tid a
-// concurrent pass already reclaimed is skipped.
-func (s *Segment) prune(st *segTable, tids []storage.TupleID) int {
-	if len(tids) == 0 {
+// it reclaims the dead versions of one heap leaf (Heap.Prune WAL-logs them,
+// so mirrors and crash recovery reclaim the same slots) and drops their
+// index entries. It returns the number of versions reclaimed; a version a
+// concurrent pass already reclaimed, or whose slot now holds another
+// version, is skipped.
+func (s *Segment) prune(st *segTable, dead []storage.Header) int {
+	if len(dead) == 0 {
 		return 0
 	}
-	rows := st.engine.(*storage.Heap).Prune(tids)
-	n := 0
-	for i, row := range rows {
-		if row != nil {
-			rows[n], tids[n] = row, tids[i]
-			n++
+	n := st.engine.(*storage.Heap).Prune(dead, func(rows []types.Row, tids []storage.TupleID) {
+		for _, ix := range st.indexes {
+			s.prunedEntries.Add(int64(ix.ix.Delete(rows, tids)))
 		}
-	}
-	if n == 0 {
-		return 0
-	}
-	for _, ix := range st.indexes {
-		s.prunedEntries.Add(int64(ix.ix.Delete(rows[:n], tids[:n])))
-	}
+	})
 	s.prunedVersions.Add(int64(n))
 	return n
 }

@@ -193,3 +193,69 @@ func TestProbePrunesDeadVersions(t *testing.T) {
 		t.Fatalf("rows after updates = %v", got)
 	}
 }
+
+// TestVacuumSkipsSlotsRefilledByTruncate: VACUUM takes no relation lock,
+// so a TRUNCATE and an INSERT can run between its collect step and its
+// prune. TupleIDs restart after the TRUNCATE, so the dead versions it
+// collected name slots that now hold the new rows: the prune must leave
+// them alone, on the primary and, through the WAL, on its mirror.
+func TestVacuumSkipsSlotsRefilledByTruncate(t *testing.T) {
+	ctx := context.Background()
+	c := replicatedCluster(t, 1, ReplicaSync)
+	tab := mkIndexedTable(t, c, "t")
+	var rows []types.Row
+	for k := int64(1); k <= 8; k++ {
+		rows = append(rows, types.Row{types.NewInt(k), types.NewInt(0)})
+	}
+	insertRows(t, c, tab, rows)
+	for k := int64(1); k <= 8; k++ {
+		updateKey(t, c, tab, k, 1) // supersedes the version in slot k
+	}
+	s := c.seg(0)
+	st, err := s.table(tab.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := s.deadVersions(st)
+	if len(dead) != 8 {
+		t.Fatalf("collected %d dead versions, want 8", len(dead))
+	}
+
+	lt := c.BeginTxn()
+	if err := c.ApplyTruncate(ctx, lt, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CommitTxn(lt); err != nil {
+		t.Fatal(err)
+	}
+	rows = rows[:0]
+	for k := int64(11); k <= 18; k++ {
+		rows = append(rows, types.Row{types.NewInt(k), types.NewInt(k)})
+	}
+	insertRows(t, c, tab, rows)
+
+	if n := s.prune(st, dead); n != 0 {
+		t.Fatalf("prune after TRUNCATE + INSERT reclaimed %d versions, want 0", n)
+	}
+	wantRows := func(who string) {
+		t.Helper()
+		if got := scanAll(t, c, tab); len(got) != 8 {
+			t.Fatalf("%s: %d rows after the stale prune, want 8", who, len(got))
+		}
+		lt := c.BeginTxn()
+		defer c.AbortTxn(lt)
+		for k := int64(11); k <= 18; k++ {
+			if _, index := readKey(t, c, lt, c.TxnSnapshot(lt), tab, k); len(index) != 1 || index[0] != k {
+				t.Fatalf("%s: index probe of a=%d reads %v, want [%d]", who, k, index, k)
+			}
+		}
+	}
+	wantRows("primary")
+	if err := c.KillSegment(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.promote(0); err != nil {
+		t.Fatal(err)
+	}
+	wantRows("promoted mirror")
+}

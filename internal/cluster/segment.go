@@ -958,7 +958,7 @@ func (a *storeAccess) IndexLookup(ctx context.Context, t *catalog.Table, def *ca
 				break
 			}
 		}
-		a.seg.prune(st, dead.tids)
+		a.seg.prune(st, dead.versions)
 		if stop {
 			return nil
 		}

@@ -23,7 +23,7 @@ import (
 )
 
 // TupleID identifies a tuple version within one table on one segment.
-// IDs are never reused.
+// IDs are not reused until a Truncate empties the table.
 type TupleID uint64
 
 // InvalidTupleID is the zero tuple id.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/txn"
@@ -18,7 +19,7 @@ type Heap struct {
 	mu sync.RWMutex
 	// pages hold the version slots, heapPageSlots per page: TupleID t lives
 	// in slot t-1. A full page whose every slot Prune reclaimed is released
-	// (nil); its TupleIDs stay retired, since ids are never reused.
+	// (nil); its TupleIDs stay retired until a Truncate restarts them.
 	pages []*heapPage
 	// n counts the slots ever allocated (the highest TupleID).
 	n int
@@ -243,37 +244,77 @@ func (h *Heap) Bytes() int64 {
 	return n
 }
 
-// Prune reclaims the versions tids — like PostgreSQL's heap_page_prune, the
-// caller has established that no live or future snapshot can see them. A
-// reclaimed slot keeps its TupleID (ids are never reused) but frees its
-// payload; ForEach and Fetch skip it. Prune returns, aligned with tids, the
-// row each reclaimed version held — nil for a tid already reclaimed or out
-// of range — so the caller can drop the versions' index entries. The
-// reclaimed tids are WAL-logged as one Prune record.
-func (h *Heap) Prune(tids []TupleID) []types.Row {
+// Prune reclaims the versions dead — like PostgreSQL's heap_page_prune, the
+// caller has established that no live or future snapshot can see them — and
+// returns how many it reclaimed. The caller decided from headers it read
+// earlier without the lock, so a slot is reclaimed only if it still holds
+// that version: a TRUNCATE in between restarts TupleIDs, and a version
+// inserted after it into the same slot has a newer xmin. A reclaimed slot
+// frees its payload; ForEach and Fetch skip it. The reclaimed tids are
+// WAL-logged as one Prune record.
+//
+// unindex, when not nil, receives the reclaimed versions' rows and tids to
+// drop their index entries. It runs before Prune releases the heap lock, so
+// no insert can reuse one of those tids — and have its own index entry
+// dropped — in between.
+func (h *Heap) Prune(dead []Header, unindex func(rows []types.Row, tids []TupleID)) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rows := make([]types.Row, len(tids))
-	var logged []uint64
-	for k, tid := range tids {
-		i := int(tid) - 1
-		t := h.slot(i)
-		if t == nil || t.row == nil {
+	var rows []types.Row
+	var tids []TupleID
+	for _, d := range dead {
+		t := h.slot(int(d.TID) - 1)
+		if t == nil || t.row == nil || t.xmin != d.Xmin {
 			continue
 		}
-		rows[k] = t.row
-		*t = heapTuple{}
-		h.live--
-		p := h.pages[i/heapPageSlots]
-		if p.live--; p.live == 0 && len(p.tups) == heapPageSlots {
-			h.pages[i/heapPageSlots] = nil
-		}
-		if h.wal.enabled() {
-			logged = append(logged, uint64(tid))
-		}
+		rows = append(rows, h.reclaim(d.TID))
+		tids = append(tids, d.TID)
 	}
-	if len(logged) > 0 {
+	if len(tids) == 0 {
+		return 0
+	}
+	if h.wal.enabled() {
+		logged := make([]uint64, len(tids))
+		for i, tid := range tids {
+			logged[i] = uint64(tid)
+		}
 		h.wal.logPrune(logged)
 	}
-	return rows
+	if unindex != nil {
+		unindex(rows, tids)
+	}
+	return len(tids)
+}
+
+// replayPrune applies a Prune record. The primary logged only slots it
+// reclaimed, and the replica replays in log order, so every tid must still
+// hold a version here.
+func (h *Heap) replayPrune(tids []uint64) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, tid := range tids {
+		if t := h.slot(int(tid) - 1); t == nil || t.row == nil {
+			return fmt.Errorf("storage: replay of prune found tid %d already reclaimed or missing", tid)
+		}
+		h.reclaim(TupleID(tid))
+	}
+	if h.wal.enabled() {
+		h.wal.logPrune(tids)
+	}
+	return nil
+}
+
+// reclaim frees slot tid, which holds a version, and returns its row; a
+// full page with no version left is released. Callers hold h.mu.
+func (h *Heap) reclaim(tid TupleID) types.Row {
+	i := int(tid) - 1
+	t := h.slot(i)
+	row := t.row
+	*t = heapTuple{}
+	h.live--
+	p := h.pages[i/heapPageSlots]
+	if p.live--; p.live == 0 && len(p.tups) == heapPageSlots {
+		h.pages[i/heapPageSlots] = nil
+	}
+	return row
 }

@@ -65,8 +65,9 @@ func (ix *HashIndex) Matches(row types.Row, key []types.Datum) bool {
 }
 
 // Delete removes the entries of reclaimed versions: tids[i] was indexed
-// under rows[i]. Tuple ids are never reused, so only those entries go. It
-// returns the number of entries removed.
+// under rows[i]. A tid names one version at a time (a TRUNCATE empties the
+// heap and its indexes together), so only those entries go. It returns the
+// number of entries removed.
 func (ix *HashIndex) Delete(rows []types.Row, tids []TupleID) int {
 	gone := slices.Clone(tids)
 	slices.Sort(gone)

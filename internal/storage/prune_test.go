@@ -13,8 +13,8 @@ import (
 
 // hotKey drives the probe-and-prune protocol the cluster's index probes use
 // against one heap and one index: a probe fetches every version in the
-// key's bucket, reclaims those whose deleter committed (Heap.Prune, then
-// HashIndex.Delete with the returned rows) and reports the current version.
+// key's bucket, reclaims those whose deleter committed (Heap.Prune, which
+// hands their rows to HashIndex.Delete) and reports the current version.
 // Writers commit the instant they finish, so "deleter committed" stands in
 // for "deleter committed below the horizon".
 type hotKey struct {
@@ -26,7 +26,7 @@ type hotKey struct {
 }
 
 func (k *hotKey) probe() (cur TupleID, row types.Row) {
-	var dead []TupleID
+	var dead []Header
 	for _, tid := range k.ix.Lookup(k.key) {
 		hdr, r, ok := k.h.Fetch(tid)
 		if !ok {
@@ -34,7 +34,7 @@ func (k *hotKey) probe() (cur TupleID, row types.Row) {
 		}
 		if hdr.Xmax != txn.InvalidXID {
 			if _, done := k.committed.Load(hdr.Xmax); done {
-				dead = append(dead, tid)
+				dead = append(dead, hdr)
 			}
 			continue
 		}
@@ -42,25 +42,26 @@ func (k *hotKey) probe() (cur TupleID, row types.Row) {
 			cur, row = tid, r
 		}
 	}
-	if len(dead) > 0 {
-		rows := k.h.Prune(dead)
-		var gone []TupleID
-		var goneRows []types.Row
-		for i, r := range rows {
-			if r != nil {
-				gone, goneRows = append(gone, dead[i]), append(goneRows, r)
-			}
-		}
-		if len(gone) > 0 {
-			k.ix.Delete(goneRows, gone)
+	k.h.Prune(dead, func(rows []types.Row, tids []TupleID) { k.ix.Delete(rows, tids) })
+	return cur, row
+}
+
+// fetchable counts the key's index entries whose heap version is still
+// stored. An entry whose version a concurrent probe just reclaimed, but has
+// not yet dropped from the index, is not counted: no probe fetches it.
+func (k *hotKey) fetchable() int {
+	n := 0
+	for _, tid := range k.ix.Lookup(k.key) {
+		if _, _, ok := k.h.Fetch(tid); ok {
+			n++
 		}
 	}
-	return cur, row
+	return n
 }
 
 // update replaces the current version, retrying while another writer holds
 // it; it returns once its own write committed.
-func (k *hotKey) update(inflight *atomic.Int64) error {
+func (k *hotKey) update() error {
 	x := txn.XID(k.nextXID.Add(1))
 	for {
 		cur, row := k.probe()
@@ -76,22 +77,26 @@ func (k *hotKey) update(inflight *atomic.Int64) error {
 			}
 			continue
 		}
-		inflight.Add(1)
 		next := types.Row{row[0], types.NewInt(row[1].Int() + 1)}
 		tid := k.h.Insert(x, next)
 		k.ix.Insert(next, tid)
 		k.h.LinkUpdate(cur, tid)
 		k.committed.Store(x, struct{}{})
-		inflight.Add(-1)
 		return nil
 	}
 }
 
 // TestConcurrentProbesKeepHotBucketBounded: writers and read-only probes
 // hammer one key while every probe prunes what it finds dead. The key's
-// bucket stays within a constant of its live version however many updates
-// run; at rest it holds exactly the live version, and replaying the WAL
-// reproduces the pruned heap.
+// bucket never holds more versions than its live version plus one per
+// writer, however many updates run; at rest it holds exactly the live
+// version, and replaying the WAL reproduces the pruned heap.
+//
+// The bound: a writer accounts for at most one extra version at a time.
+// From its insert to its commit that is its in-flight new version. From
+// its commit until its next probe has pruned, it is the version its commit
+// superseded; that probe fetches the version after the deleter committed,
+// so it reclaims it before the writer stamps anything again.
 func TestConcurrentProbesKeepHotBucketBounded(t *testing.T) {
 	log := wal.New()
 	k := &hotKey{h: NewHeap(), ix: NewHashIndex([]int{0}), key: []types.Datum{types.NewInt(7)}}
@@ -102,7 +107,6 @@ func TestConcurrentProbesKeepHotBucketBounded(t *testing.T) {
 	k.committed.Store(txn.XID(1), struct{}{})
 
 	const writers, readers, perWriter = 4, 2, 300
-	var inflight atomic.Int64
 	var wg, rwg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < readers; i++ {
@@ -116,13 +120,8 @@ func TestConcurrentProbesKeepHotBucketBounded(t *testing.T) {
 				default:
 				}
 				k.probe()
-				n := int64(len(k.ix.Lookup(k.key)))
-				// The live version, one in-flight write, the version the
-				// last commit superseded, and entries whose versions a
-				// concurrent probe reclaimed but has not yet dropped from
-				// the index (at most a few per prober).
-				if bound := int64(3 + 2*(writers+readers)); n > bound {
-					t.Errorf("bucket holds %d entries, bound %d", n, bound)
+				if n, bound := k.fetchable(), 1+writers; n > bound {
+					t.Errorf("bucket holds %d versions, bound %d", n, bound)
 				}
 			}
 		}()
@@ -132,7 +131,7 @@ func TestConcurrentProbesKeepHotBucketBounded(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWriter; j++ {
-				if err := k.update(&inflight); err != nil {
+				if err := k.update(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -197,15 +196,15 @@ func TestPruneReleasesEmptyPages(t *testing.T) {
 			tail = append(tail, tid)
 		}
 	}
-	h.Prune(page0[:heapPageSlots-1])
+	h.Prune(versions(1, page0[:heapPageSlots-1]...), nil)
 	if h.pages[0] == nil {
 		t.Fatal("page released while one version is still live")
 	}
-	h.Prune(page0[heapPageSlots-1:])
+	h.Prune(versions(1, page0[heapPageSlots-1:]...), nil)
 	if h.pages[0] != nil {
 		t.Fatal("fully reclaimed page kept")
 	}
-	h.Prune(tail)
+	h.Prune(versions(1, tail...), nil)
 	if h.pages[1] == nil {
 		t.Fatal("tail page released while it still takes inserts")
 	}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
 
 func row(vals ...int64) types.Row {
@@ -127,12 +129,16 @@ func TestHeapVacuum(t *testing.T) {
 	t1 := h.Insert(1, row(1, 1))
 	t2 := h.Insert(1, row(2, 2))
 	_ = h.SetXmax(t1, 2)
-	rows := h.Prune([]TupleID{t1})
-	if len(rows) != 1 || rows[0] == nil || rows[0][0].Int() != 1 {
-		t.Fatalf("prune returned %v", rows)
+	var gone []TupleID
+	var goneRows []types.Row
+	unindex := func(rows []types.Row, tids []TupleID) {
+		goneRows, gone = append(goneRows, rows...), append(gone, tids...)
 	}
-	if again := h.Prune([]TupleID{t1, 99}); again[0] != nil || again[1] != nil {
-		t.Fatalf("re-prune of a reclaimed or missing tid returned %v", again)
+	if n := h.Prune(versions(1, t1), unindex); n != 1 || len(gone) != 1 || gone[0] != t1 || goneRows[0][0].Int() != 1 {
+		t.Fatalf("prune reclaimed %d, unindexed %v %v", n, gone, goneRows)
+	}
+	if n := h.Prune(versions(1, t1, 99), unindex); n != 0 || len(gone) != 1 {
+		t.Fatalf("re-prune of a reclaimed or missing tid reclaimed %d, unindexed %v", n, gone)
 	}
 	if h.RowCount() != 1 {
 		t.Fatalf("RowCount = %d after prune, want 1", h.RowCount())
@@ -147,6 +153,84 @@ func TestHeapVacuum(t *testing.T) {
 	h.ForEach(func(Header, types.Row) bool { n++; return true })
 	if n != 1 {
 		t.Fatalf("ForEach sees %d rows after vacuum", n)
+	}
+}
+
+// versions builds the headers Heap.Prune takes for tids created by xmin.
+func versions(xmin txn.XID, tids ...TupleID) []Header {
+	out := make([]Header, len(tids))
+	for i, tid := range tids {
+		out[i] = Header{TID: tid, Xmin: xmin}
+	}
+	return out
+}
+
+// TestHeapPruneSkipsRefilledSlot: a prune decided from headers read before
+// a TRUNCATE must not reclaim the version an INSERT after it put in the
+// same slot (TupleIDs restart at 1), nor log it.
+func TestHeapPruneSkipsRefilledSlot(t *testing.T) {
+	log := wal.New()
+	h := NewHeap()
+	h.SetWAL(log, 1)
+	t1 := h.Insert(1, row(1, 1))
+	_ = h.SetXmax(t1, 2)
+	var dead []Header
+	h.ForEach(func(hdr Header, _ types.Row) bool { dead = append(dead, hdr); return true })
+
+	h.Truncate()
+	if tid := h.Insert(3, row(2, 2)); tid != t1 {
+		t.Fatalf("insert after truncate got tid %d, want the reused %d", tid, t1)
+	}
+	if n := h.Prune(dead, func([]types.Row, []TupleID) { t.Fatal("unindexed a skipped slot") }); n != 0 {
+		t.Fatalf("prune reclaimed %d versions from the refilled slot", n)
+	}
+	if _, got, ok := h.Fetch(t1); !ok || got[0].Int() != 2 {
+		t.Fatalf("new version lost: %v %v", got, ok)
+	}
+	if h.RowCount() != 1 {
+		t.Fatalf("RowCount = %d, want 1", h.RowCount())
+	}
+	_ = log.ReplayFrom(1, func(r wal.Record) error {
+		if r.Type == wal.TypePrune {
+			t.Fatalf("prune of a skipped slot was logged: %v", r.TIDs)
+		}
+		return nil
+	})
+}
+
+// TestHeapPruneUnindexesUnderLock: Prune drops the index entries before it
+// releases the heap lock. Otherwise a TRUNCATE and an INSERT could reuse a
+// reclaimed tid in between, and the new row's entry (same key, same tid)
+// would be dropped with the old one's.
+func TestHeapPruneUnindexesUnderLock(t *testing.T) {
+	h := NewHeap()
+	ix := NewHashIndex([]int{0})
+	t1 := h.Insert(1, row(1, 1))
+	ix.Insert(row(1, 1), t1)
+	_ = h.SetXmax(t1, 2)
+	inserted := make(chan struct{})
+	h.Prune(versions(1, t1), func(rows []types.Row, tids []TupleID) {
+		go func() {
+			h.Truncate()
+			ix.Truncate()
+			tid := h.Insert(3, row(1, 2))
+			ix.Insert(row(1, 2), tid)
+			close(inserted)
+		}()
+		select {
+		case <-inserted:
+			t.Error("a TRUNCATE and an INSERT ran while the prune still held reclaimed tids")
+		case <-time.After(20 * time.Millisecond):
+		}
+		ix.Delete(rows, tids)
+	})
+	<-inserted
+	tids := ix.Lookup([]types.Datum{types.NewInt(1)})
+	if len(tids) != 1 {
+		t.Fatalf("index holds %v for the new row, want one entry", tids)
+	}
+	if _, got, ok := h.Fetch(tids[0]); !ok || got[1].Int() != 2 {
+		t.Fatalf("index entry leads to %v %v, want the new row", got, ok)
 	}
 }
 

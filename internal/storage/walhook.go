@@ -89,15 +89,7 @@ func ApplyRecord(e Engine, r wal.Record) error {
 		if !ok {
 			break
 		}
-		tids := make([]TupleID, len(r.TIDs))
-		for i, tid := range r.TIDs {
-			tids[i] = TupleID(tid)
-		}
-		for i, row := range h.Prune(tids) {
-			if row == nil {
-				return fmt.Errorf("storage: replay of prune found tid %d already reclaimed or missing", tids[i])
-			}
-		}
+		return h.replayPrune(r.TIDs)
 	default:
 		return fmt.Errorf("storage: %v is not a storage record", r.Type)
 	}

@@ -37,8 +37,8 @@ func driveEngine(t *testing.T, e Engine) {
 	// logs nothing). Only the heap prunes in place; for the append-optimized
 	// engines a prune record is a replay no-op, appended by the caller.
 	if h, ok := e.(*Heap); ok {
-		h.Prune([]TupleID{3, 7, 8})
-		h.Prune([]TupleID{8, 9})
+		h.Prune(versions(4, 3, 7, 8), nil)
+		h.Prune(versions(4, 8, 9), nil)
 	}
 }
 

@@ -270,7 +270,7 @@ func TestHeapZonesSurviveVacuumAndResetOnTruncate(t *testing.T) {
 	for i := range page0 {
 		page0[i] = TupleID(i + 1)
 	}
-	h.Prune(page0)
+	h.Prune(versions(1, page0...), nil)
 	rows, _ := scanWith(h, eqPred(0, 3))
 	if len(rows) != 0 {
 		t.Fatalf("post-vacuum rows: %d (tombstones emitted?)", len(rows))
