@@ -93,7 +93,9 @@ func (c *StmtCache) Stats() StmtCacheStats {
 
 // parse returns the shared parsed statement for sqlText, running the
 // parser and inserting on miss. The returned entry is nil when caching is
-// disabled or the text failed to parse.
+// disabled, the text failed to parse, or it is a literal-row INSERT: such
+// a statement carries its data in its text, so the same text almost never
+// comes back, and caching it would only pin a bulk load's batches.
 func (c *StmtCache) parse(sqlText string) (sql.Statement, *stmtEntry, error) {
 	if c == nil || c.cap < 0 {
 		st, err := sql.Parse(sqlText)
@@ -114,6 +116,9 @@ func (c *StmtCache) parse(sqlText string) (sql.Statement, *stmtEntry, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if literalInsert(st) {
+		return st, nil, nil
+	}
 	e := &stmtEntry{key: key, stmt: st, str: st.String()}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -131,6 +136,59 @@ func (c *StmtCache) parse(sqlText string) (sql.Statement, *stmtEntry, error) {
 	}
 	c.mu.Unlock()
 	return e.stmt, e, nil
+}
+
+// literalInsert reports whether st is an INSERT … VALUES with no $N
+// parameter in any row.
+func literalInsert(st sql.Statement) bool {
+	ins, ok := st.(*sql.InsertStmt)
+	if !ok || len(ins.Rows) == 0 {
+		return false
+	}
+	for _, row := range ins.Rows {
+		if anyParam(row) {
+			return false
+		}
+	}
+	return true
+}
+
+// hasParam reports whether e contains a $N parameter. An expression kind
+// it does not know counts as parameterized, which keeps it cached.
+func hasParam(e sql.Expr) bool {
+	switch x := e.(type) {
+	case *sql.Literal, *sql.ColumnRef:
+		return false
+	case *sql.BinaryOp:
+		return hasParam(x.Left) || hasParam(x.Right)
+	case *sql.UnaryOp:
+		return hasParam(x.Operand)
+	case *sql.IsNullExpr:
+		return hasParam(x.Operand)
+	case *sql.BetweenExpr:
+		return hasParam(x.Operand) || hasParam(x.Lo) || hasParam(x.Hi)
+	case *sql.InExpr:
+		return hasParam(x.Operand) || anyParam(x.List)
+	case *sql.FuncCall:
+		return anyParam(x.Args)
+	case *sql.CaseExpr:
+		for _, w := range x.Whens {
+			if hasParam(w.Cond) || hasParam(w.Then) {
+				return true
+			}
+		}
+		return x.Else != nil && hasParam(x.Else)
+	}
+	return true // *sql.Param, or a kind added later
+}
+
+func anyParam(es []sql.Expr) bool {
+	for _, e := range es {
+		if hasParam(e) {
+			return true
+		}
+	}
+	return false
 }
 
 // lookupPlan returns the cached plan for planKey, or nil.

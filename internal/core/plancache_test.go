@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sql"
 	"repro/internal/types"
 )
 
@@ -168,6 +169,57 @@ func TestPlanCacheParamsNotCached(t *testing.T) {
 	}
 	if after.Hits-before.Hits != 2 {
 		t.Fatalf("parameterized statements should still share the parse: %d hits", after.Hits-before.Hits)
+	}
+}
+
+// TestLiteralInsertNotCached pins which statements the cache keeps: an
+// INSERT carrying its rows as literals is parsed every time and never
+// cached, while a parameterized INSERT — a $N anywhere in any row — and
+// every other statement share one cached parse.
+func TestLiteralInsertNotCached(t *testing.T) {
+	for _, c := range []struct {
+		sql     string
+		literal bool
+	}{
+		{"INSERT INTO li VALUES (1, 10), (2, -20)", true},
+		{"INSERT INTO li (a) VALUES (upper('x') || 'y')", true},
+		{"INSERT INTO li VALUES ($1, $2)", false},
+		{"INSERT INTO li VALUES (1, 2), (3, -$1)", false},
+		{"INSERT INTO li VALUES (1, CASE WHEN $1 > 0 THEN 1 ELSE 2 END)", false},
+		{"INSERT INTO li SELECT a, b FROM li", false},
+		{"UPDATE li SET b = 1 WHERE a = 2", false},
+		{"SELECT 1", false},
+	} {
+		st, err := sql.Parse(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := literalInsert(st); got != c.literal {
+			t.Errorf("literalInsert(%q) = %v, want %v", c.sql, got, c.literal)
+		}
+	}
+
+	e, s := newTestEngine(t, 2)
+	mustExec(t, s, "CREATE TABLE li (a int, b int) DISTRIBUTED BY (a)")
+	base := e.StmtCache().Stats()
+	for i := 0; i < 3; i++ {
+		mustExec(t, s, "INSERT INTO li VALUES (1, 10), (2, -20)")
+	}
+	st := e.StmtCache().Stats()
+	if st.Entries != base.Entries || st.Hits != base.Hits || st.Misses-base.Misses != 3 {
+		t.Fatalf("literal INSERT x3: entries %d->%d, hits +%d, misses +%d; want uncached",
+			base.Entries, st.Entries, st.Hits-base.Hits, st.Misses-base.Misses)
+	}
+	for i := 0; i < 3; i++ {
+		mustExec(t, s, "INSERT INTO li VALUES ($1, $2)", types.NewInt(int64(i)), types.NewInt(1))
+	}
+	after := e.StmtCache().Stats()
+	if after.Entries != st.Entries+1 || after.Hits-st.Hits != 2 {
+		t.Fatalf("parameterized INSERT x3: entries +%d, hits +%d; want 1 entry, 2 hits",
+			after.Entries-st.Entries, after.Hits-st.Hits)
+	}
+	if res := mustExec(t, s, "SELECT count(*), sum(b) FROM li"); res.Rows[0][0].Int() != 9 || res.Rows[0][1].Int() != -27 {
+		t.Fatalf("rows after inserts: %v", res.Rows)
 	}
 }
 

@@ -7,10 +7,13 @@
 // a definitive statement failure reported by the server (the transaction is
 // aborted server-side, the connection stays usable), while any other error
 // is a transport failure — the statement's fate is ambiguous (it may or may
-// not have committed before the socket died) and the connection is dead.
+// not have committed before the socket died) and the connection is dead:
+// the client closes its socket, and every later call fails fast with the
+// same error rather than reading a stale response.
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -101,11 +104,22 @@ type Result struct {
 // Client is one connection to a server. It is safe for use by one
 // goroutine at a time (like database/sql's driver.Conn, not sql.DB).
 type Client struct {
-	mu        sync.Mutex
-	nc        net.Conn
+	mu sync.Mutex
+	nc net.Conn
+	// r reads every response; w holds one request until write flushes it
+	// in a single socket write.
+	r         *bufio.Reader
+	w         *bufio.Writer
 	sessionID uint64
 	closed    bool
+	// broken is the transport error that killed the connection. Once set,
+	// the socket is closed and every call returns it: after a partial read
+	// or write the response stream is out of step with the requests.
+	broken error
 }
+
+// ioBufSize sizes the client's read and write buffers.
+const ioBufSize = 16 << 10
 
 // Dial connects, runs the startup handshake as role, and returns a live
 // client. An empty role connects as the admin default.
@@ -119,15 +133,20 @@ func DialTimeout(addr, role string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return handshake(nc, role, timeout)
+}
+
+// handshake runs the startup exchange over an open socket.
+func handshake(nc net.Conn, role string, timeout time.Duration) (*Client, error) {
 	_ = nc.SetDeadline(time.Now().Add(timeout))
+	c := &Client{nc: nc, r: bufio.NewReaderSize(nc, ioBufSize), w: bufio.NewWriterSize(nc, ioBufSize)}
 	st := &server.Startup{Version: server.ProtocolVersion, Role: role}
-	if err := server.WriteFrame(nc, server.MsgStartup, st.Encode()); err != nil {
+	if err := c.write(server.MsgStartup, st.Encode()); err != nil {
 		_ = nc.Close()
 		return nil, err
 	}
-	c := &Client{nc: nc}
 	// Expect AuthOK then Ready; an error frame here means we were refused.
-	typ, payload, err := server.ReadFrame(nc)
+	typ, payload, err := server.ReadFrame(c.r)
 	if err != nil {
 		_ = nc.Close()
 		return nil, err
@@ -148,7 +167,7 @@ func DialTimeout(addr, role string, timeout time.Duration) (*Client, error) {
 		_ = nc.Close()
 		return nil, fmt.Errorf("client: unexpected frame %q during handshake", typ)
 	}
-	if _, err := c.readUntilReady(nil); err != nil {
+	if _, err := c.readUntilReady(); err != nil {
 		_ = nc.Close()
 		return nil, err
 	}
@@ -167,7 +186,10 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	_ = server.WriteFrame(c.nc, server.MsgTerminate, nil)
+	if c.broken != nil {
+		return nil // fail already closed the socket
+	}
+	_ = c.write(server.MsgTerminate, nil)
 	return c.nc.Close()
 }
 
@@ -184,14 +206,16 @@ func (c *Client) Kill() error {
 func (c *Client) Exec(ctx context.Context, sqlText string, params ...types.Datum) (*Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, fmt.Errorf("client: connection closed")
-	}
-	q := &server.Query{SQL: sqlText, Params: params}
-	if err := c.write(ctx, server.MsgQuery, q.Encode()); err != nil {
+	if err := c.usable(); err != nil {
 		return nil, err
 	}
-	return c.readUntilReady(ctx)
+	defer c.deadline(ctx)()
+	q := &server.Query{SQL: sqlText, Params: params}
+	if err := c.write(server.MsgQuery, q.Encode()); err != nil {
+		return nil, c.fail(err)
+	}
+	res, err := c.readUntilReady()
+	return res, c.fail(err)
 }
 
 // Stmt is a named server-side prepared statement.
@@ -204,27 +228,17 @@ type Stmt struct {
 func (c *Client) Prepare(name, sqlText string) (*Stmt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.usable(); err != nil {
+		return nil, err
+	}
 	p := &server.Parse{Name: name, SQL: sqlText}
-	if err := c.write(nil, server.MsgParse, p.Encode()); err != nil {
-		return nil, err
+	if err := c.write(server.MsgParse, p.Encode()); err != nil {
+		return nil, c.fail(err)
 	}
-	typ, payload, err := server.ReadFrame(c.nc)
-	if err != nil {
-		return nil, err
+	if err := c.ack(server.MsgParseOK); err != nil {
+		return nil, c.fail(err)
 	}
-	switch typ {
-	case server.MsgParseOK:
-		return &Stmt{c: c, name: name}, nil
-	case server.MsgError:
-		em, _ := server.DecodeErrorMsg(payload)
-		// The server follows a parse error with Ready; consume it.
-		if _, rerr := c.readUntilReady(nil); rerr != nil {
-			return nil, rerr
-		}
-		return nil, &ServerError{Message: em.Message, Code: em.Code}
-	default:
-		return nil, fmt.Errorf("client: unexpected frame %q after parse", typ)
-	}
+	return &Stmt{c: c, name: name}, nil
 }
 
 // Exec binds params to the prepared statement and executes it.
@@ -232,32 +246,22 @@ func (s *Stmt) Exec(ctx context.Context, params ...types.Datum) (*Result, error)
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, fmt.Errorf("client: connection closed")
+	if err := c.usable(); err != nil {
+		return nil, err
 	}
+	defer c.deadline(ctx)()
 	b := &server.Bind{Name: s.name, Params: params}
-	if err := c.write(ctx, server.MsgBind, b.Encode()); err != nil {
-		return nil, err
+	if err := c.write(server.MsgBind, b.Encode()); err != nil {
+		return nil, c.fail(err)
 	}
-	typ, payload, err := server.ReadFrame(c.nc)
-	if err != nil {
-		return nil, err
+	if err := c.ack(server.MsgBindOK); err != nil {
+		return nil, c.fail(err)
 	}
-	switch typ {
-	case server.MsgBindOK:
-	case server.MsgError:
-		em, _ := server.DecodeErrorMsg(payload)
-		if _, rerr := c.readUntilReady(ctx); rerr != nil {
-			return nil, rerr
-		}
-		return nil, &ServerError{Message: em.Message, Code: em.Code}
-	default:
-		return nil, fmt.Errorf("client: unexpected frame %q after bind", typ)
+	if err := c.write(server.MsgExecute, nil); err != nil {
+		return nil, c.fail(err)
 	}
-	if err := c.write(ctx, server.MsgExecute, nil); err != nil {
-		return nil, err
-	}
-	return c.readUntilReady(ctx)
+	res, err := c.readUntilReady()
+	return res, c.fail(err)
 }
 
 // Close deallocates the prepared statement server-side.
@@ -265,44 +269,91 @@ func (s *Stmt) Close() error {
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.usable(); err != nil {
+		return err
+	}
 	m := &server.CloseStmt{Name: s.name}
-	if err := c.write(nil, server.MsgCloseStmt, m.Encode()); err != nil {
-		return err
+	if err := c.write(server.MsgCloseStmt, m.Encode()); err != nil {
+		return c.fail(err)
 	}
-	typ, _, err := server.ReadFrame(c.nc)
-	if err != nil {
-		return err
-	}
-	if typ != server.MsgParseOK {
-		return fmt.Errorf("client: unexpected frame %q after close", typ)
+	return c.fail(c.ack(server.MsgParseOK))
+}
+
+// usable reports why the connection cannot take a request, if it cannot.
+func (c *Client) usable() error {
+	switch {
+	case c.closed:
+		return errors.New("client: connection closed")
+	case c.broken != nil:
+		return fmt.Errorf("client: connection broken: %w", c.broken)
 	}
 	return nil
 }
 
-// write sends one frame, honouring a context deadline if present.
-func (c *Client) write(ctx context.Context, typ byte, payload []byte) error {
-	if ctx != nil {
-		if d, ok := ctx.Deadline(); ok {
-			_ = c.nc.SetWriteDeadline(d)
-			defer c.nc.SetWriteDeadline(time.Time{})
-		}
+// fail passes err through, first marking the connection broken unless err
+// is nil or a *ServerError (which the server reports after a complete
+// response, leaving the stream in step).
+func (c *Client) fail(err error) error {
+	var se *ServerError
+	if err == nil || errors.As(err, &se) {
+		return err
 	}
-	return server.WriteFrame(c.nc, typ, payload)
+	if c.broken == nil {
+		c.broken = err
+		_ = c.nc.Close()
+	}
+	return err
+}
+
+// deadline applies ctx's deadline, if any, to the socket and returns the
+// function that clears it.
+func (c *Client) deadline(ctx context.Context) func() {
+	if d, ok := ctx.Deadline(); ok {
+		_ = c.nc.SetDeadline(d)
+		return func() { _ = c.nc.SetDeadline(time.Time{}) }
+	}
+	return func() {}
+}
+
+// write sends one frame in one socket write.
+func (c *Client) write(typ byte, payload []byte) error {
+	if err := server.WriteFrame(c.w, typ, payload); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// ack reads the one-frame acknowledgement of a Parse, Bind or CloseStmt.
+// An error frame comes instead, followed by Ready, which ack consumes.
+func (c *Client) ack(want byte) error {
+	typ, payload, err := server.ReadFrame(c.r)
+	if err != nil {
+		return err
+	}
+	switch typ {
+	case want:
+		return nil
+	case server.MsgError:
+		em, err := server.DecodeErrorMsg(payload)
+		if err != nil {
+			return err
+		}
+		if _, err := c.readUntilReady(); err != nil {
+			return err
+		}
+		return &ServerError{Message: em.Message, Code: em.Code}
+	default:
+		return fmt.Errorf("client: unexpected frame %q, want %q", typ, want)
+	}
 }
 
 // readUntilReady consumes one statement's response stream: optional row
 // description, data rows, a completion or error, then Ready.
-func (c *Client) readUntilReady(ctx context.Context) (*Result, error) {
-	if ctx != nil {
-		if d, ok := ctx.Deadline(); ok {
-			_ = c.nc.SetReadDeadline(d)
-			defer c.nc.SetReadDeadline(time.Time{})
-		}
-	}
+func (c *Client) readUntilReady() (*Result, error) {
 	res := &Result{}
 	var srvErr *ServerError
 	for {
-		typ, payload, err := server.ReadFrame(c.nc)
+		typ, payload, err := server.ReadFrame(c.r)
 		if err != nil {
 			return nil, err
 		}

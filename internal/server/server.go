@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -288,8 +289,17 @@ type conn struct {
 	cctx   context.Context
 	cancel context.CancelCauseFunc
 
-	writeMu sync.Mutex
+	// w buffers every frame the session sends; handleConn flushes it once
+	// per inbound frame, so a whole response reaches the socket in one
+	// write. Only the session goroutine (handleConn and the dispatch it
+	// runs) ever writes, so w needs no lock: Shutdown only hangs up.
+	w *bufio.Writer
 }
+
+// ioBufSize sizes each session's read and write buffers: room for a
+// typical response (a handful of frames) in a single socket write, while
+// a large result set simply flushes in chunks of this size.
+const ioBufSize = 16 << 10
 
 type portal struct {
 	prep   *core.Prepared
@@ -299,12 +309,10 @@ type portal struct {
 // hangup force-closes the socket (reader unblocks, conn tears down).
 func (c *conn) hangup() { _ = c.nc.Close() }
 
-// send writes one frame (the conn loop is the only writer during normal
-// operation; the mutex covers the error frame a rejected drain might race).
+// send appends one frame to the session's output buffer; handleConn
+// flushes it.
 func (c *conn) send(typ byte, payload []byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return WriteFrame(c.nc, typ, payload)
+	return WriteFrame(c.w, typ, payload)
 }
 
 func (c *conn) sendErr(err error) error {
@@ -342,53 +350,78 @@ func (c *conn) sendReady() error {
 }
 
 // handleConn runs one session: startup handshake, then the frame loop.
+// Responses accumulate in c.w and are flushed at exactly one point —
+// after the handshake or a frame's dispatch, before waiting for the next
+// frame — so every exit (refusal, protocol error, drain) still delivers
+// what it sent, and each response costs one socket write.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
-	// Startup must arrive promptly; a silent socket cannot hold a slot.
-	_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, payload, err := ReadFrame(nc)
-	if err != nil || typ != MsgStartup {
+	defer nc.Close()
+	c := &conn{srv: s, nc: nc, w: bufio.NewWriterSize(nc, ioBufSize)}
+	r := bufio.NewReaderSize(nc, ioBufSize)
+	more := c.startup(r)
+	var frames <-chan frame
+	if more {
+		defer c.teardown()
+		frames = c.readFrames(r)
+	}
+	for {
+		if c.w.Flush() != nil || !more {
+			return
+		}
+		fr, ok := <-frames
+		if !ok {
+			return
+		}
+		more = c.dispatch(fr.typ, fr.payload)
+		s.mu.Lock()
+		if s.draining {
+			// Statement finished and its Ready is buffered: drain closes
+			// the session at the statement boundary, after the flush.
+			more = false
+		}
+		s.mu.Unlock()
+	}
+}
+
+// startup runs the handshake: it reads the startup frame, opens the
+// session, registers the connection and buffers AuthOK+Ready. On refusal
+// it buffers the error frame and returns false.
+func (c *conn) startup(r *bufio.Reader) bool {
+	s := c.srv
+	refuse := func(msg string) bool {
 		s.rejected.Add(1)
-		_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: "server: expected startup frame"}).Encode())
-		_ = nc.Close()
-		return
+		_ = c.send(MsgError, (&ErrorMsg{Message: msg}).Encode())
+		return false
+	}
+	// Startup must arrive promptly; a silent socket cannot hold a slot.
+	_ = c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	typ, payload, err := ReadFrame(r)
+	if err != nil || typ != MsgStartup {
+		return refuse("server: expected startup frame")
 	}
 	st, err := DecodeStartup(payload)
 	if err != nil || st.Version != ProtocolVersion {
-		s.rejected.Add(1)
-		_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: fmt.Sprintf("server: bad startup (want protocol %d)", ProtocolVersion)}).Encode())
-		_ = nc.Close()
-		return
+		return refuse(fmt.Sprintf("server: bad startup (want protocol %d)", ProtocolVersion))
 	}
 	sess, err := s.engine.NewSession(st.Role)
 	if err != nil {
-		s.rejected.Add(1)
-		_ = WriteFrame(nc, MsgError, (&ErrorMsg{Message: err.Error()}).Encode())
-		_ = nc.Close()
-		return
+		return refuse(err.Error())
 	}
-	_ = nc.SetReadDeadline(time.Time{})
+	_ = c.nc.SetReadDeadline(time.Time{})
 	if s.cfg.UseResourceGroups {
 		sess.UseResourceGroup(true, 0, 0)
 	}
+	c.sess = sess
+	c.prepared = make(map[string]*core.Prepared)
+	c.cctx, c.cancel = context.WithCancelCause(context.Background())
 
-	cctx, cancel := context.WithCancelCause(context.Background())
-	c := &conn{
-		srv:      s,
-		nc:       nc,
-		sess:     sess,
-		prepared: make(map[string]*core.Prepared),
-		cctx:     cctx,
-		cancel:   cancel,
-	}
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
-		s.rejected.Add(1)
-		_ = c.sendErr(errServerShutdown)
-		_ = nc.Close()
+		c.cancel(nil)
 		sess.Close()
-		return
+		return refuse(errServerShutdown.Error())
 	}
 	s.nextID++
 	c.id = s.nextID
@@ -396,70 +429,59 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.mu.Unlock()
 	s.accepted.Add(1)
 
-	// Session teardown is unconditional: whatever killed the connection —
-	// clean terminate, abrupt socket close mid-transaction, drain — the
-	// open transaction rolls back and the resource-group slot frees.
-	defer func() {
-		cancel(nil)
-		// The session_teardown fault point may delay (sleep/hang) or fail
-		// here, but the rollback and slot release below run regardless — an
-		// injected teardown failure must never leak a session or its locks.
-		_, _ = s.engine.Cluster().Faults().Eval(fault.SessionTeardown, cluster.CoordinatorSeg)
-		sess.Close()
-		_ = nc.Close()
-		if c.hasSlot {
-			c.hasSlot = false
-			<-s.workers
-		}
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-	}()
+	_ = c.send(MsgAuthOK, (&AuthOK{SessionID: c.id}).Encode())
+	_ = c.sendReady()
+	return true
+}
 
-	if err := c.send(MsgAuthOK, (&AuthOK{SessionID: c.id}).Encode()); err != nil {
-		return
+// teardown is unconditional: whatever killed the connection — clean
+// terminate, abrupt socket close mid-transaction, drain — the open
+// transaction rolls back and the resource-group slot frees. handleConn
+// closes the socket after it.
+func (c *conn) teardown() {
+	s := c.srv
+	c.cancel(nil)
+	// The session_teardown fault point may delay (sleep/hang) or fail
+	// here, but the rollback and slot release below run regardless — an
+	// injected teardown failure must never leak a session or its locks.
+	_, _ = s.engine.Cluster().Faults().Eval(fault.SessionTeardown, cluster.CoordinatorSeg)
+	c.sess.Close()
+	if c.hasSlot {
+		c.hasSlot = false
+		<-s.workers
 	}
-	if err := c.sendReady(); err != nil {
-		return
-	}
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+}
 
-	// The reader goroutine owns the socket's read side: frames flow to the
-	// session loop over a small channel (modest pipelining), and a read
-	// error — the client vanished — cancels the in-flight statement.
-	type frame struct {
-		typ     byte
-		payload []byte
-	}
+type frame struct {
+	typ     byte
+	payload []byte
+}
+
+// readFrames starts the reader goroutine, which owns the socket's read
+// side: frames flow to the session loop over a small channel (modest
+// pipelining), and a read error — the client vanished — cancels the
+// in-flight statement. The goroutine exits when the socket closes.
+func (c *conn) readFrames(r *bufio.Reader) <-chan frame {
 	frames := make(chan frame, 8)
 	go func() {
 		defer close(frames)
 		for {
-			typ, payload, err := ReadFrame(nc)
+			typ, payload, err := ReadFrame(r)
 			if err != nil {
-				cancel(err)
+				c.cancel(err)
 				return
 			}
 			select {
 			case frames <- frame{typ, payload}:
-			case <-cctx.Done():
+			case <-c.cctx.Done():
 				return
 			}
 		}
 	}()
-
-	for fr := range frames {
-		if !c.dispatch(fr.typ, fr.payload) {
-			return
-		}
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			// Statement finished and its Ready went out: drain closes the
-			// session at the statement boundary.
-			return
-		}
-	}
+	return frames
 }
 
 // dispatch handles one frame; false ends the session.

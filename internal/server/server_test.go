@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -416,4 +417,55 @@ func TestStatementTimeoutOverWire(t *testing.T) {
 	mustExecNet(t, holder, "ROLLBACK")
 	mustExecNet(t, c, "SET statement_timeout = 0")
 	mustExecNet(t, c, "SELECT count(*) FROM st")
+}
+
+// TestClientBrokenAfterIOError pins a client desync: a statement whose
+// context deadline expires mid-response leaves that response in flight, so
+// the connection must fail every later call instead of handing the stale
+// response to the next statement. The server side then sees the socket
+// close, cancels the waiting statement and rolls its transaction back.
+func TestClientBrokenAfterIOError(t *testing.T) {
+	_, srv := startServer(t, 2, server.Config{})
+	a := dialT(t, srv)
+	defer a.Close()
+	b := dialT(t, srv)
+	defer b.Close()
+	ctx := context.Background()
+
+	mustExecNet(t, a, "CREATE TABLE dz (k int, v int) DISTRIBUTED BY (k)")
+	mustExecNet(t, a, "INSERT INTO dz VALUES (1, 0)")
+	mustExecNet(t, a, "BEGIN")
+	mustExecNet(t, a, "UPDATE dz SET v = 1 WHERE k = 1") // row lock held
+
+	tctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	_, err := b.Exec(tctx, "UPDATE dz SET v = 2 WHERE k = 1")
+	cancel()
+	var se *client.ServerError
+	if err == nil || errors.As(err, &se) {
+		t.Fatalf("UPDATE blocked past its deadline: got %v, want a transport error", err)
+	}
+	mustExecNet(t, a, "COMMIT")
+
+	res, err := b.Exec(ctx, "SELECT v FROM dz WHERE k = 1")
+	if err == nil {
+		t.Fatalf("SELECT on a broken connection returned tag %q with %d rows, want an error",
+			res.Tag, len(res.Rows))
+	}
+	if errors.As(err, &se) {
+		t.Fatalf("SELECT on a broken connection: got server error %v, want a transport error", err)
+	}
+
+	// B's session is gone and holds no lock. Its UPDATE's fate is
+	// ambiguous, as for any transport error: the server may have granted
+	// it the lock at A's commit before it saw the socket close.
+	c := dialT(t, srv)
+	defer c.Close()
+	uctx, ucancel := context.WithTimeout(ctx, 5*time.Second)
+	defer ucancel()
+	if _, err := c.Exec(uctx, "UPDATE dz SET v = v + 10 WHERE k = 1"); err != nil {
+		t.Fatalf("row still locked after the broken session: %v", err)
+	}
+	if v := mustExecNet(t, c, "SELECT v FROM dz WHERE k = 1").Rows[0][0].Int(); v != 11 && v != 12 {
+		t.Fatalf("v = %d, want 11 (B's UPDATE canceled) or 12 (it committed)", v)
+	}
 }

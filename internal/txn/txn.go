@@ -20,10 +20,12 @@ const InvalidXID XID = 0
 // Status is a transaction's clog state.
 type Status uint8
 
-// Transaction states.
+// Transaction states. The zero Status is the clog's empty slot: an xid
+// this manager never began.
 const (
+	statusUnknown Status = iota
 	// StatusInProgress means the transaction has not finished.
-	StatusInProgress Status = iota
+	StatusInProgress
 	// StatusCommitted means the transaction committed.
 	StatusCommitted
 	// StatusAborted means the transaction rolled back.
@@ -75,17 +77,18 @@ func (s *Snapshot) Sees(xid XID) bool {
 type Manager struct {
 	mu      sync.Mutex
 	nextXID XID
-	status  map[XID]Status
+	// clog is the commit log, indexed by xid. Xids are dense, so a slice
+	// costs one byte per transaction; slots BeginReplay skipped stay
+	// statusUnknown.
+	clog []Status
 	// running holds currently in-progress or prepared xids.
 	running map[XID]struct{}
-	// oldestRunning caches the truncation horizon for the xid mapping.
 }
 
 // NewManager returns a manager whose first transaction will get XID 1.
 func NewManager() *Manager {
 	return &Manager{
 		nextXID: 1,
-		status:  make(map[XID]Status),
 		running: make(map[XID]struct{}),
 	}
 }
@@ -96,32 +99,57 @@ func (m *Manager) Begin() XID {
 	defer m.mu.Unlock()
 	xid := m.nextXID
 	m.nextXID++
-	m.status[xid] = StatusInProgress
+	m.set(xid, StatusInProgress)
 	m.running[xid] = struct{}{}
 	return xid
+}
+
+// get reads xid's clog slot; an xid past the end is unknown.
+func (m *Manager) get(xid XID) Status {
+	if xid < XID(len(m.clog)) {
+		return m.clog[xid]
+	}
+	return statusUnknown
+}
+
+// set writes xid's clog slot, growing the clog to reach it.
+func (m *Manager) set(xid XID, st Status) {
+	for XID(len(m.clog)) <= xid {
+		m.clog = append(m.clog, statusUnknown)
+	}
+	m.clog[xid] = st
+}
+
+// state reads xid's clog slot for a state transition. An unknown xid
+// transitions like an in-progress one, so a replayed commit or abort
+// applies even when its begin was not seen.
+func (m *Manager) state(xid XID) Status {
+	if st := m.get(xid); st != statusUnknown {
+		return st
+	}
+	return StatusInProgress
 }
 
 // Status returns the clog state of xid.
 func (m *Manager) Status(xid XID) Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, ok := m.status[xid]
-	if !ok {
-		// Unknown old xids are treated as aborted; the clog here is never
-		// truncated below a live reference in this in-memory engine.
-		return StatusAborted
+	if st := m.get(xid); st != statusUnknown {
+		return st
 	}
-	return st
+	// Unknown xids are treated as aborted; the clog here is never
+	// truncated below a live reference in this in-memory engine.
+	return StatusAborted
 }
 
 // Prepare transitions xid to the prepared state (2PC phase one).
 func (m *Manager) Prepare(xid XID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.status[xid] != StatusInProgress {
-		return fmt.Errorf("txn: cannot prepare %d in state %s", xid, m.status[xid])
+	if st := m.state(xid); st != StatusInProgress {
+		return fmt.Errorf("txn: cannot prepare %d in state %s", xid, st)
 	}
-	m.status[xid] = StatusPrepared
+	m.set(xid, StatusPrepared)
 	return nil
 }
 
@@ -129,11 +157,11 @@ func (m *Manager) Prepare(xid XID) error {
 func (m *Manager) Commit(xid XID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.status[xid]
+	st := m.state(xid)
 	if st != StatusInProgress && st != StatusPrepared {
 		return fmt.Errorf("txn: cannot commit %d in state %s", xid, st)
 	}
-	m.status[xid] = StatusCommitted
+	m.set(xid, StatusCommitted)
 	delete(m.running, xid)
 	return nil
 }
@@ -142,11 +170,11 @@ func (m *Manager) Commit(xid XID) error {
 func (m *Manager) Abort(xid XID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.status[xid]
+	st := m.state(xid)
 	if st != StatusInProgress && st != StatusPrepared {
 		return fmt.Errorf("txn: cannot abort %d in state %s", xid, st)
 	}
-	m.status[xid] = StatusAborted
+	m.set(xid, StatusAborted)
 	delete(m.running, xid)
 	return nil
 }
@@ -158,10 +186,10 @@ func (m *Manager) Abort(xid XID) error {
 func (m *Manager) BeginReplay(xid XID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.status[xid]; ok {
+	if m.get(xid) != statusUnknown {
 		return
 	}
-	m.status[xid] = StatusInProgress
+	m.set(xid, StatusInProgress)
 	m.running[xid] = struct{}{}
 	if xid >= m.nextXID {
 		m.nextXID = xid + 1
@@ -178,8 +206,8 @@ func (m *Manager) AbortInFlight() []XID {
 	defer m.mu.Unlock()
 	var aborted []XID
 	for xid := range m.running {
-		if m.status[xid] == StatusInProgress {
-			m.status[xid] = StatusAborted
+		if m.clog[xid] == StatusInProgress {
+			m.clog[xid] = StatusAborted
 			delete(m.running, xid)
 			aborted = append(aborted, xid)
 		}
@@ -194,7 +222,7 @@ func (m *Manager) PreparedXIDs() []XID {
 	defer m.mu.Unlock()
 	var out []XID
 	for xid := range m.running {
-		if m.status[xid] == StatusPrepared {
+		if m.clog[xid] == StatusPrepared {
 			out = append(out, xid)
 		}
 	}

@@ -234,3 +234,48 @@ func TestQuickSnapshotNeverSeesLaterXid(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestClogGapsReadAsAborted pins the dense clog's empty slots: xids that
+// BeginReplay skipped, xid 0 and xids past the end all read as aborted,
+// while replayed and newly begun xids keep their own states.
+func TestClogGapsReadAsAborted(t *testing.T) {
+	m := NewManager()
+	m.BeginReplay(3)
+	m.BeginReplay(7)
+	if err := m.Commit(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, xid := range []XID{InvalidXID, 1, 2, 4, 5, 6, 1 << 20} {
+		if st := m.Status(xid); st != StatusAborted {
+			t.Errorf("gap xid %d: status %s, want aborted", xid, st)
+		}
+		if m.IsRunning(xid) {
+			t.Errorf("gap xid %d reads as running", xid)
+		}
+	}
+	if st := m.Status(3); st != StatusCommitted {
+		t.Errorf("xid 3: %s, want committed", st)
+	}
+	if st := m.Status(7); st != StatusInProgress {
+		t.Errorf("xid 7: %s, want in-progress", st)
+	}
+	// Allocation continues past the highest replayed xid.
+	if x := m.Begin(); x != 8 || m.Status(x) != StatusInProgress {
+		t.Fatalf("Begin after replay: xid %d status %s, want 8 in-progress", x, m.Status(x))
+	}
+	// A replayed begin never overwrites a slot that already has a state.
+	m.BeginReplay(3)
+	if st := m.Status(3); st != StatusCommitted {
+		t.Errorf("re-replayed xid 3: %s, want committed", st)
+	}
+	// A gap can still be begun by replay later (records arrive in order on
+	// one log, but a skipped xid is just an empty slot).
+	m.BeginReplay(5)
+	if err := m.Abort(5); err != nil || m.Status(5) != StatusAborted {
+		t.Fatalf("replayed gap xid 5: err %v status %s", err, m.Status(5))
+	}
+	// A committed xid cannot transition again.
+	if err := m.Abort(3); err == nil {
+		t.Error("abort of committed xid 3 succeeded")
+	}
+}
