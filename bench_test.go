@@ -331,14 +331,14 @@ func BenchmarkAblationCompressionCodecs(b *testing.B) {
 
 // ---- vectorized execution benchmarks ----
 
-// benchRowStore is the seed-style executor storage: row-at-a-time pushes
-// only, which makes the scan iterator fall back to full-leaf
-// materialization — exactly the pre-vectorization pipeline.
-type benchRowStore struct {
+// benchBatchStore is executor storage over a bare engine: the batch scan
+// path (storage.ScanBatches) plus block-range splitting for parallel
+// workers. The row callbacks are never reached by the benchmarks' plans.
+type benchBatchStore struct {
 	eng storage.Engine
 }
 
-func (s *benchRowStore) ScanTable(_ context.Context, _ catalog.TableID, _ bool, fn func(types.Row) (bool, bool, error)) error {
+func (s *benchBatchStore) ScanTable(_ context.Context, _ catalog.TableID, _ bool, fn func(types.Row) (bool, bool, error)) error {
 	var iterErr error
 	s.eng.ForEach(func(h storage.Header, row types.Row) bool {
 		_, cont, err := fn(row)
@@ -351,13 +351,8 @@ func (s *benchRowStore) ScanTable(_ context.Context, _ catalog.TableID, _ bool, 
 	return iterErr
 }
 
-func (s *benchRowStore) IndexLookup(context.Context, *catalog.Table, *catalog.Index, []types.Datum, bool, func(types.Row) (bool, error)) error {
+func (s *benchBatchStore) IndexLookup(context.Context, *catalog.Table, *catalog.Index, []types.Datum, bool, func(types.Row) (bool, error)) error {
 	return nil
-}
-
-// benchBatchStore adds the batch scan path (storage.ScanBatches) on top.
-type benchBatchStore struct {
-	benchRowStore
 }
 
 func (s *benchBatchStore) ScanTableBatches(ctx context.Context, _ catalog.TableID, spec exec.ScanSpec, batchSize int, fn func(*types.RowBatch) (bool, error)) error {
@@ -415,12 +410,11 @@ func (s *benchBatchStore) ScanTableRangeBatches(ctx context.Context, _ catalog.T
 	return iterErr
 }
 
-// BenchmarkExecBatchVsRowScanAgg isolates the executor: an analytical
-// scan+filter+aggregate over an AO-column table, run through the
-// row-at-a-time shim (materializing scan, per-row operator calls) and the
-// vectorized pipeline (block-decoded batch scan, batch operators). The
-// rows/sec metric is what the ISSUE's ≥2× acceptance criterion refers to.
-func BenchmarkExecBatchVsRowScanAgg(b *testing.B) {
+// BenchmarkExecScanAgg isolates the executor: an analytical
+// scan+filter+aggregate over an AO-column table through the vectorized
+// pipeline (block-decoded batch scan, batch operators), reported as
+// rows/sec.
+func BenchmarkExecScanAgg(b *testing.B) {
 	const nRows = 100_000
 	eng := storage.NewAOColumn(3, storage.CompressionRLEDelta)
 	for i := 0; i < nRows; i++ {
@@ -447,87 +441,58 @@ func BenchmarkExecBatchVsRowScanAgg(b *testing.B) {
 				{Func: plan.AggSum, Arg: &plan.ColRef{Idx: 0}, Name: "s"},
 			}, plan.AggPlain)
 	}
-	modes := []struct {
-		name  string
-		store exec.StoreAccess
-	}{
-		{"row", &benchRowStore{eng: eng}},
-		{"batch", &benchBatchStore{benchRowStore{eng: eng}}},
+	store := &benchBatchStore{eng: eng}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := &exec.Context{Ctx: context.Background(), Store: store, NumSegments: 1, SegID: 0}
+		rows, err := exec.DrainBatches(exec.BuildBatch(ctx, mkPlan()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 512 {
+			b.Fatalf("groups: %d", len(rows))
+		}
 	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctx := &exec.Context{Ctx: context.Background(), Store: mode.store, NumSegments: 1, SegID: 0}
-				var rows []types.Row
-				var err error
-				if mode.name == "batch" {
-					rows, err = exec.DrainBatches(exec.BuildBatch(ctx, mkPlan()))
-				} else {
-					rows, err = exec.Drain(exec.Build(ctx, mkPlan()))
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rows) != 512 {
-					b.Fatalf("groups: %d", len(rows))
-				}
-			}
-			b.ReportMetric(float64(nRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
-		})
-	}
+	b.ReportMetric(float64(nRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }
 
-// BenchmarkSQLBatchVsRowExec compares the two execution modes end to end
-// through SQL, planning, dispatch and the interconnect: a grouped aggregate
-// whose partial results stream through a gather motion. Config.RowAtATime
-// selects the compatibility shim; batch size comes from
+// BenchmarkSQLScanAgg measures the same kind of query end to end through
+// SQL, planning, dispatch and the interconnect: a grouped aggregate whose
+// partial results stream through a gather motion. Batch size comes from
 // Config.ExecBatchSize / QueryResources.BatchSize.
-func BenchmarkSQLBatchVsRowExec(b *testing.B) {
+func BenchmarkSQLScanAgg(b *testing.B) {
 	const nRows = 30_000
-	for _, mode := range []struct {
-		name string
-		row  bool
-	}{
-		{"batch", false},
-		{"row", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := cluster.GPDB6(2)
-			cfg.RowAtATime = mode.row
-			e := core.NewEngine(cfg)
-			defer e.Close()
-			s, _ := e.NewSession("")
-			ctx := context.Background()
-			if _, err := s.Exec(ctx, "CREATE TABLE f (a int, g int, w int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (a)"); err != nil {
-				b.Fatal(err)
-			}
-			for off := 0; off < nRows; off += 1000 {
-				var sb strings.Builder
-				sb.WriteString("INSERT INTO f VALUES ")
-				for i := off; i < off+1000; i++ {
-					if i > off {
-						sb.WriteByte(',')
-					}
-					fmt.Fprintf(&sb, "(%d,%d,%d)", i, i%4096, i%7)
-				}
-				if _, err := s.Exec(ctx, sb.String()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := s.Exec(ctx, "SELECT g, count(*), sum(a) FROM f WHERE w < 5 GROUP BY g")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 4096 {
-					b.Fatalf("groups: %d", len(res.Rows))
-				}
-			}
-			b.ReportMetric(float64(nRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
-		})
+	e := core.NewEngine(cluster.GPDB6(2))
+	defer e.Close()
+	s, _ := e.NewSession("")
+	ctx := context.Background()
+	if _, err := s.Exec(ctx, "CREATE TABLE f (a int, g int, w int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (a)"); err != nil {
+		b.Fatal(err)
 	}
+	for off := 0; off < nRows; off += 1000 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO f VALUES ")
+		for i := off; i < off+1000; i++ {
+			if i > off {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d,%d,%d)", i, i%4096, i%7)
+		}
+		if _, err := s.Exec(ctx, sb.String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Exec(ctx, "SELECT g, count(*), sum(a) FROM f WHERE w < 5 GROUP BY g")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 4096 {
+			b.Fatalf("groups: %d", len(res.Rows))
+		}
+	}
+	b.ReportMetric(float64(nRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }
 
 // BenchmarkZoneMapSkip measures predicate pushdown end to end: a ≈1%
@@ -623,7 +588,7 @@ func BenchmarkParallelScanAgg(b *testing.B) {
 				{Func: plan.AggSum, Arg: &plan.ColRef{Idx: 0}, Name: "s"},
 			}, plan.AggPlain)
 	}
-	store := &benchBatchStore{benchRowStore{eng: eng}}
+	store := &benchBatchStore{eng: eng}
 	run := func(b *testing.B, dop int) {
 		ctx := &exec.Context{Ctx: context.Background(), Store: store, NumSegments: 1, SegID: 0, Parallel: dop}
 		rows, err := exec.DrainBatches(exec.BuildBatchParallel(ctx, mkPlan()))

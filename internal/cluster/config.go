@@ -61,9 +61,6 @@ type Config struct {
 	// override: QueryResources.Parallelism; session override: SET
 	// exec_parallelism.
 	ExecParallelism int
-	// RowAtATime forces the legacy row-at-a-time executor and per-row
-	// motion sends — the compatibility shim, kept for ablation benchmarks.
-	RowAtATime bool
 
 	// BlockCacheBytes is the capacity of each segment's LRU cache of decoded
 	// AO-column blocks, charged against the resource-group global vmem pool

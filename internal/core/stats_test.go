@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -83,43 +84,52 @@ func TestPlannerUsesRealTableStats(t *testing.T) {
 	}
 }
 
-// TestBatchAndRowModesAgree runs the same analytical query under the
-// vectorized executor and the row-at-a-time shim and requires identical
-// results end to end (scan → motion → agg through real segments).
-func TestBatchAndRowModesAgree(t *testing.T) {
-	run := func(rowMode bool) [][]string {
-		cfg := cluster.GPDB6(3)
-		cfg.RowAtATime = rowMode
-		cfg.ExecBatchSize = 64
-		e := NewEngine(cfg)
-		defer e.Close()
-		s, err := e.NewSession("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustExec(t, s, "CREATE TABLE f (g int, v int, w int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (g)")
-		bulkInsert(t, s, "f", 3000, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", i%37, i, i%5) })
-		res := mustExec(t, s, "SELECT g, count(*), sum(v), min(v), max(v), avg(w) FROM f WHERE v % 2 = 0 GROUP BY g ORDER BY g")
-		var out [][]string
-		for _, r := range res.Rows {
-			var row []string
-			for _, d := range r {
-				row = append(row, d.String())
-			}
-			out = append(out, row)
-		}
-		return out
+// TestExecutorMatchesSliceOracle runs an analytical query end to end (scan →
+// motion → two-phase agg → sort through real segments, at a batch size that
+// puts batch edges inside every slice) and requires exactly the answer
+// computed in plain Go from the same generated rows.
+func TestExecutorMatchesSliceOracle(t *testing.T) {
+	cfg := cluster.GPDB6(3)
+	cfg.ExecBatchSize = 64
+	e := NewEngine(cfg)
+	defer e.Close()
+	s, err := e.NewSession("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch := run(false)
-	row := run(true)
-	if len(batch) == 0 || len(batch) != len(row) {
-		t.Fatalf("result sizes differ: batch=%d row=%d", len(batch), len(row))
+	const n, ngroups = 3000, 37
+	mustExec(t, s, "CREATE TABLE f (g int, v int, w int) WITH (appendonly=true, orientation=column) DISTRIBUTED BY (g)")
+	bulkInsert(t, s, "f", n, 0, func(i int) string { return fmt.Sprintf("(%d,%d,%d)", i%ngroups, i, i%5) })
+	res := mustExec(t, s, "SELECT g, count(*), sum(v), min(v), max(v), avg(w) FROM f WHERE v % 2 = 0 GROUP BY g ORDER BY g")
+
+	type acc struct{ cnt, sum, min, max, sumW int64 }
+	want := make([]*acc, ngroups)
+	for i := 0; i < n; i++ {
+		if i%2 != 0 {
+			continue
+		}
+		g := want[i%ngroups]
+		if g == nil {
+			g = &acc{min: int64(i), max: int64(i)}
+			want[i%ngroups] = g
+		}
+		g.cnt++
+		g.sum += int64(i)
+		g.min = min(g.min, int64(i))
+		g.max = max(g.max, int64(i))
+		g.sumW += int64(i % 5)
 	}
-	for i := range batch {
-		for j := range batch[i] {
-			if batch[i][j] != row[i][j] {
-				t.Fatalf("row %d col %d: batch=%s row=%s", i, j, batch[i][j], row[i][j])
-			}
+	if len(res.Rows) != ngroups {
+		t.Fatalf("got %d groups, want %d", len(res.Rows), ngroups)
+	}
+	for g, r := range res.Rows {
+		w := want[g]
+		if r[0].Int() != int64(g) || r[1].Int() != w.cnt || r[2].Int() != w.sum ||
+			r[3].Int() != w.min || r[4].Int() != w.max {
+			t.Fatalf("group %d: got %v, want g=%d count=%d sum=%d min=%d max=%d", g, r, g, w.cnt, w.sum, w.min, w.max)
+		}
+		if avg := float64(w.sumW) / float64(w.cnt); math.Abs(r[5].Float()-avg) > 1e-9 {
+			t.Fatalf("group %d: avg(w) = %v, want %v", g, r[5], avg)
 		}
 	}
 }

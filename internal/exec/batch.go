@@ -26,78 +26,6 @@ type BatchIterator interface {
 // instead of materializing the leaf.
 const scanStreamDepth = 2
 
-// ---- adapters ----
-
-// batchFromRows adapts a row Iterator to the batch interface by pulling up
-// to size rows per call into a reused batch.
-type batchFromRows struct {
-	child Iterator
-	batch *types.RowBatch
-	size  int
-	done  bool
-}
-
-// NewBatchAdapter wraps a row-at-a-time iterator as a BatchIterator with the
-// given batch size (<=0 = types.DefaultBatchSize).
-func NewBatchAdapter(it Iterator, size int) BatchIterator {
-	if size < 1 {
-		size = types.DefaultBatchSize
-	}
-	return &batchFromRows{child: it, batch: types.NewRowBatch(size), size: size}
-}
-
-func (b *batchFromRows) NextBatch() (*types.RowBatch, error) {
-	if b.done {
-		return nil, io.EOF
-	}
-	b.batch.Reset()
-	for b.batch.Len() < b.size {
-		row, err := b.child.Next()
-		if err == io.EOF {
-			b.done = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.batch.Append(row)
-	}
-	if b.batch.Len() == 0 {
-		return nil, io.EOF
-	}
-	return b.batch, nil
-}
-
-func (b *batchFromRows) Close() { b.child.Close() }
-
-// rowsFromBatch adapts a BatchIterator to the row interface.
-type rowsFromBatch struct {
-	child BatchIterator
-	cur   *types.RowBatch
-	pos   int
-}
-
-// NewRowAdapter wraps a BatchIterator as a row-at-a-time Iterator (the
-// compatibility shim for operators without a vectorized implementation).
-func NewRowAdapter(it BatchIterator) Iterator {
-	return &rowsFromBatch{child: it}
-}
-
-func (r *rowsFromBatch) Next() (types.Row, error) {
-	for r.cur == nil || r.pos >= r.cur.Len() {
-		b, err := r.child.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		r.cur, r.pos = b, 0
-	}
-	row := r.cur.Live(r.pos)
-	r.pos++
-	return row, nil
-}
-
-func (r *rowsFromBatch) Close() { r.child.Close() }
-
 // DrainBatches pulls every batch from it into a flat row slice (coordinator
 // result collection).
 func DrainBatches(it BatchIterator) ([]types.Row, error) {
@@ -347,8 +275,9 @@ func (p *batchProjectIter) Close() { p.child.Close() }
 
 // batchHashJoinIter is the vectorized hash join: the right (build/inner)
 // side is drained batch-at-a-time and fully materialized before the first
-// probe batch is pulled — the same deadlock-safe order as the row path
-// (paper Appendix B).
+// probe batch is pulled. The prefetch is not just a performance choice: it is
+// Greenplum's defence against interconnect deadlock (paper Appendix B) — the
+// inner motion is drained completely before any outer tuple is requested.
 type batchHashJoinIter struct {
 	core        hashJoinCore
 	left, right BatchIterator
@@ -593,11 +522,12 @@ func (m *motionRecvBatchIter) NextBatch() (*types.RowBatch, error) {
 
 func (m *motionRecvBatchIter) Close() {}
 
-// BuildBatch constructs the vectorized iterator tree for a plan subtree
-// within one slice. Operators without a batch implementation (sort, limit,
-// nested loop, index scan) run row-at-a-time over adapted batch children, so
-// scans and motions stay vectorized underneath them. When ctx.NodeRows is
-// set, every node's iterator is wrapped to record its actual output rows.
+// BuildBatch constructs the iterator tree for a plan subtree *within one
+// slice*. A Motion child is a slice boundary: BuildBatch returns a receiver
+// iterator for it; the sending side is launched separately by the
+// dispatcher. When ctx.NodeRows is set, every node's iterator is wrapped to
+// record its actual output rows (recursion re-enters BuildBatch, so children
+// are wrapped too); ctx.Ops adds per-node operator statistics the same way.
 func BuildBatch(ctx *Context, node plan.Node) BatchIterator {
 	it := buildBatchNode(ctx, node)
 	if ctr := ctx.NodeRows.Counter(node); ctr != nil {
@@ -610,52 +540,66 @@ func BuildBatch(ctx *Context, node plan.Node) BatchIterator {
 }
 
 func buildBatchNode(ctx *Context, node plan.Node) BatchIterator {
-	size := ctx.batchSize()
 	switch n := node.(type) {
+	case *plan.OneRow:
+		return &oneRowIter{}
 	case *plan.Scan:
 		if ctx.Store == nil {
-			return NewBatchAdapter(errIterf("exec: scan of %s in a storage-less slice", n.Table.Name), size)
+			return errIterf("exec: scan of %s in a storage-less slice", n.Table.Name)
 		}
 		if n.OnSeg >= 0 && ctx.SegID != n.OnSeg {
-			return NewBatchAdapter(emptyIter{}, size)
+			// Single-segment scan (replicated table not yet widened by
+			// online expansion): every other segment contributes nothing.
+			return emptyIter{}
 		}
 		if _, ok := ctx.Store.(BatchStoreAccess); ok && !n.ForUpdate {
 			return newBatchScanIter(ctx, n)
 		}
-		return NewBatchAdapter(newScanIter(ctx, n), size)
+		return newScanIter(ctx, n)
+	case *plan.IndexScan:
+		if ctx.Store == nil {
+			return errIterf("exec: index scan of %s in a storage-less slice", n.Table.Name)
+		}
+		return newIndexScanIter(ctx, n)
 	case *plan.Filter:
 		return &batchFilterIter{child: BuildBatch(ctx, n.Child), pred: plan.CompilePredicate(n.Cond), tick: cpuTick{ctx: ctx}}
 	case *plan.Project:
 		return &batchProjectIter{child: BuildBatch(ctx, n.Child), exprs: n.Exprs,
-			out: types.NewRowBatch(size), tick: cpuTick{ctx: ctx}}
+			out: types.NewRowBatch(ctx.batchSize()), tick: cpuTick{ctx: ctx}}
 	case *plan.HashJoin:
 		return newBatchHashJoinIter(ctx, n, BuildBatch(ctx, n.Left), BuildBatch(ctx, n.Right))
+	case *plan.NestLoop:
+		return newNestLoopIter(ctx, n, BuildBatch(ctx, n.Left), BuildBatch(ctx, n.Right))
 	case *plan.Agg:
 		return newBatchAggIter(ctx, n, BuildBatch(ctx, n.Child))
-	case *plan.NestLoop:
-		return NewBatchAdapter(newNestLoopIter(ctx, n,
-			NewRowAdapter(BuildBatch(ctx, n.Left)),
-			NewRowAdapter(BuildBatch(ctx, n.Right))), size)
 	case *plan.Sort:
-		return NewBatchAdapter(&sortIter{ctx: ctx, child: NewRowAdapter(BuildBatch(ctx, n.Child)), keys: n.Keys, mem: opMem{ctx: ctx, stat: ctx.opStat(n)}}, size)
+		return newSortIter(ctx, n, BuildBatch(ctx, n.Child))
 	case *plan.Limit:
-		return NewBatchAdapter(&limitIter{child: NewRowAdapter(BuildBatch(ctx, n.Child)), count: n.Count, offset: n.Offset}, size)
+		return &limitIter{child: BuildBatch(ctx, n.Child), count: n.Count, skip: n.Offset}
 	case *plan.Motion:
 		if ctx.Recv == nil {
-			return NewBatchAdapter(errIterf("exec: no receiver wiring for slice %d", n.SliceID), size)
+			return errIterf("exec: no receiver wiring for slice %d", n.SliceID)
 		}
 		r := ctx.Recv(n.SliceID)
 		if r == nil {
-			return NewBatchAdapter(errIterf("exec: no receiver for slice %d at segment %d", n.SliceID, ctx.SegID), size)
+			return errIterf("exec: no receiver for slice %d at segment %d", n.SliceID, ctx.SegID)
 		}
-		if br, ok := r.(BatchReceiver); ok {
-			return &motionRecvBatchIter{ctx: ctx, recv: br}
-		}
-		return NewBatchAdapter(&motionRecvIter{ctx: ctx, recv: r}, size)
+		return &motionRecvBatchIter{ctx: ctx, recv: r}
 	default:
-		// OneRow, IndexScan and unsupported nodes share the row path
-		// (buildRow, not Build: the public BuildBatch already counts this
-		// node, so the row path must not count it again).
-		return NewBatchAdapter(buildRow(ctx, node), size)
+		return errIterf("exec: unsupported plan node %T", node)
 	}
+}
+
+// HashForRedistribute computes the destination segment for a row under a
+// redistribute motion.
+func HashForRedistribute(exprs []plan.Expr, row types.Row, nseg int) (int, error) {
+	var h uint64 = 1469598103934665603
+	for _, e := range exprs {
+		v, err := e.Eval(row)
+		if err != nil {
+			return 0, err
+		}
+		h = h*1099511628211 ^ v.Hash()
+	}
+	return int(h % uint64(nseg)), nil
 }

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"context"
-	"io"
+	"sort"
 	"testing"
 
 	"repro/internal/catalog"
@@ -44,52 +44,10 @@ func (m *memBatchStore) ScanTableBatches(ctx context.Context, leaf catalog.Table
 	return nil
 }
 
-func TestBatchAdapterRoundTrip(t *testing.T) {
-	var rows []types.Row
-	for i := 0; i < 10; i++ {
-		rows = append(rows, intRow(int64(i)))
-	}
-	// rows → batches of 3 → rows must preserve order and count.
-	got, err := Drain(NewRowAdapter(NewBatchAdapter(&sliceIter{rows: rows}, 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("round trip lost rows: %d", len(got))
-	}
-	for i, r := range got {
-		if r[0].Int() != int64(i) {
-			t.Fatalf("row %d out of order: %v", i, r)
-		}
-	}
-}
-
-func TestBatchAdapterBounds(t *testing.T) {
-	var rows []types.Row
-	for i := 0; i < 10; i++ {
-		rows = append(rows, intRow(int64(i)))
-	}
-	it := NewBatchAdapter(&sliceIter{rows: rows}, 4)
-	sizes := []int{}
-	for {
-		b, err := it.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, b.Len())
-	}
-	if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
-		t.Fatalf("batch sizes: %v", sizes)
-	}
-}
-
-// TestBatchPipelineMatchesRowPipeline runs the same scan→filter→join→agg
-// plan through Build (row shim) and BuildBatch (vectorized) and requires
-// identical results — the core equivalence property of the refactor.
-func TestBatchPipelineMatchesRowPipeline(t *testing.T) {
+// TestBatchPipelineMatchesSliceOracle runs a scan→filter→join→agg plan
+// through BuildBatch and requires exactly the answer computed in plain Go
+// from the same generated rows.
+func TestBatchPipelineMatchesSliceOracle(t *testing.T) {
 	left := testTable(1, "l", "id", "lv")
 	right := testTable(2, "r", "id", "rv")
 	tables := map[catalog.TableID][]types.Row{1: {}, 2: {}}
@@ -101,38 +59,59 @@ func TestBatchPipelineMatchesRowPipeline(t *testing.T) {
 	}
 	store := &memBatchStore{memStore{tables: tables}}
 
-	mkPlan := func() plan.Node {
-		scanL := plan.NewScan(left, []catalog.TableID{1}, &plan.BinOp{
-			Op: ">", Left: &plan.ColRef{Idx: 1}, Right: &plan.Const{Val: types.NewInt(10)}})
-		scanR := plan.NewScan(right, []catalog.TableID{2}, nil)
-		join := plan.NewHashJoin(plan.JoinInner, scanL, scanR,
-			[]plan.Expr{&plan.ColRef{Idx: 0}}, []plan.Expr{&plan.ColRef{Idx: 0}}, nil)
-		return plan.NewAgg(join,
-			[]plan.Expr{&plan.ColRef{Idx: 0}},
-			[]plan.AggSpec{
-				{Func: plan.AggCount, Name: "cnt"},
-				{Func: plan.AggSum, Arg: &plan.ColRef{Idx: 3}, Name: "s"},
-				{Func: plan.AggMax, Arg: &plan.ColRef{Idx: 1}, Name: "m"},
-			}, plan.AggPlain)
+	scanL := plan.NewScan(left, []catalog.TableID{1}, &plan.BinOp{
+		Op: ">", Left: &plan.ColRef{Idx: 1}, Right: &plan.Const{Val: types.NewInt(10)}})
+	scanR := plan.NewScan(right, []catalog.TableID{2}, nil)
+	join := plan.NewHashJoin(plan.JoinInner, scanL, scanR,
+		[]plan.Expr{&plan.ColRef{Idx: 0}}, []plan.Expr{&plan.ColRef{Idx: 0}}, nil)
+	agg := plan.NewAgg(join,
+		[]plan.Expr{&plan.ColRef{Idx: 0}},
+		[]plan.AggSpec{
+			{Func: plan.AggCount, Name: "cnt"},
+			{Func: plan.AggSum, Arg: &plan.ColRef{Idx: 3}, Name: "s"},
+			{Func: plan.AggMax, Arg: &plan.ColRef{Idx: 1}, Name: "m"},
+		}, plan.AggPlain)
+	ctx := &Context{Ctx: context.Background(), Store: store, NumSegments: 1, SegID: 0, BatchSize: 64}
+	got, err := DrainBatches(BuildBatch(ctx, agg))
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	mkCtx := func() *Context {
-		return &Context{Ctx: context.Background(), Store: store, NumSegments: 1, SegID: 0, BatchSize: 64}
+	// Oracle: the same join and aggregate over the raw rows, one group per
+	// key in ascending key order (the aggregate's output order).
+	type acc struct{ cnt, sum, max int64 }
+	groups := map[int64]*acc{}
+	for _, l := range tables[1] {
+		if l[1].Int() <= 10 {
+			continue
+		}
+		for _, r := range tables[2] {
+			if l[0].Int() != r[0].Int() {
+				continue
+			}
+			g := groups[l[0].Int()]
+			if g == nil {
+				g = &acc{max: l[1].Int()}
+				groups[l[0].Int()] = g
+			}
+			g.cnt++
+			g.sum += r[1].Int()
+			g.max = max(g.max, l[1].Int())
+		}
 	}
-	rowRes, err := Drain(Build(mkCtx(), mkPlan()))
-	if err != nil {
-		t.Fatal(err)
+	keys := make([]int64, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
 	}
-	batchRes, err := DrainBatches(BuildBatch(mkCtx(), mkPlan()))
-	if err != nil {
-		t.Fatal(err)
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	if len(keys) == 0 || len(got) != len(keys) {
+		t.Fatalf("result sizes: got=%d want=%d", len(got), len(keys))
 	}
-	if len(rowRes) == 0 || len(rowRes) != len(batchRes) {
-		t.Fatalf("result sizes: row=%d batch=%d", len(rowRes), len(batchRes))
-	}
-	for i := range rowRes {
-		if !rowRes[i].Equal(batchRes[i]) {
-			t.Fatalf("row %d differs: %v vs %v", i, rowRes[i], batchRes[i])
+	for i, k := range keys {
+		g := groups[k]
+		want := intRow(k, g.cnt, g.sum, g.max)
+		if !got[i].Equal(want) {
+			t.Fatalf("group %d: got %v, want %v", i, got[i], want)
 		}
 	}
 }
@@ -256,8 +235,8 @@ func TestSelectBatchSelectionVector(t *testing.T) {
 	}
 }
 
-// TestBatchFilterEmitsSelectionDownstream: a scan's filtered batches flow
-// through the row adapter and drain with only live rows visible.
+// TestFilteredScanDrainsLiveRowsOnly: a scan's filtered batches carry a
+// selection vector and drain with only live rows visible.
 func TestFilteredScanDrainsLiveRowsOnly(t *testing.T) {
 	tables := map[catalog.TableID][]types.Row{1: {}}
 	for i := 0; i < 500; i++ {

@@ -1,15 +1,14 @@
-// Package exec implements the distributed executor: batch-at-a-time
-// (vectorized) iterators for the hot plan nodes with a row-at-a-time Volcano
-// shim kept for compatibility, intra-segment parallel worker pipelines over
-// disjoint block ranges merged by a LocalGather local exchange (with
-// partial→final aggregate rewriting), motion send/receive over the
-// interconnect, two-phase aggregation, hash and nested-loop joins with
-// inner-side prefetch, and memory/CPU accounting hooks for resource groups.
-// Blocking operators (sort, hash agg, hash join) are memory-governed: past
-// the statement's spill budget (slot quota × memory_spill_ratio) they spill
-// to per-segment temp files — external merge sort, partition-spill
-// aggregation, Grace hash join — instead of growing until cancellation
-// (see spill.go).
+// Package exec implements the distributed executor: one vectorized
+// (batch-at-a-time) engine in which every plan node pulls and emits
+// types.RowBatch, intra-segment parallel worker pipelines over disjoint
+// block ranges merged by a LocalGather local exchange (with partial→final
+// aggregate rewriting), motion send/receive over the interconnect, two-phase
+// aggregation, hash and nested-loop joins with inner-side prefetch, and
+// memory/CPU accounting hooks for resource groups. Blocking operators (sort,
+// hash agg, hash join) are memory-governed: past the statement's spill
+// budget (slot quota × memory_spill_ratio) they spill to per-segment temp
+// files — external merge sort, partition-spill aggregation, Grace hash join
+// — instead of growing until cancellation (see spill.go).
 package exec
 
 import (
@@ -51,7 +50,7 @@ type ScanSpec struct {
 // store decodes each block once per batch instead of re-buffering
 // row-by-row. Implementations hand each batch to fn with full ownership (a
 // fresh container whose rows may be retained). fn reports whether to
-// continue. FOR UPDATE scans stay on the row path (they lock per kept row).
+// continue. FOR UPDATE scans use ScanTable (they lock per kept row).
 type BatchStoreAccess interface {
 	StoreAccess
 	ScanTableBatches(ctx context.Context, leaf catalog.TableID, spec ScanSpec, batchSize int, fn func(b *types.RowBatch) (cont bool, err error)) error
@@ -87,15 +86,9 @@ type CPUCharger interface {
 	ChargeCPU(ctx context.Context, d time.Duration) error
 }
 
-// Receiver yields rows arriving from a sending slice of a motion.
-type Receiver interface {
-	// Recv returns the next row; ok=false means the stream is closed.
-	Recv(ctx context.Context) (types.Row, bool, error)
-}
-
-// BatchReceiver is implemented by receivers that can deliver whole motion
-// batches (one interconnect operation per batch instead of per row). The
-// returned batch is owned by the caller.
+// BatchReceiver yields the batches arriving from a sending slice of a
+// motion, one interconnect operation per batch; ok=false means the stream is
+// closed. The returned batch is owned by the caller.
 type BatchReceiver interface {
 	RecvBatch(ctx context.Context) (*types.RowBatch, bool, error)
 }
@@ -106,7 +99,7 @@ type Context struct {
 	Store StoreAccess // nil in the coordinator slice
 	// Recv returns the receiver for the given sending slice at this
 	// location.
-	Recv func(sliceID int) Receiver
+	Recv func(sliceID int) BatchReceiver
 	Mem  MemAccount
 	CPU  CPUCharger
 	// Spill is the statement's spill manager: the shared operator-memory
@@ -122,9 +115,6 @@ type Context struct {
 	// BatchSize is the executor's rows-per-batch for vectorized operators
 	// (0 = types.DefaultBatchSize).
 	BatchSize int
-	// RowMode forces the legacy row-at-a-time operators even where the
-	// store supports batch scans (Config.RowAtATime ablation shim).
-	RowMode bool
 	// Parallel is the slice's degree of intra-segment parallelism: when > 1
 	// (and the slice shape and storage engine allow it) BuildBatchParallel
 	// runs that many worker pipelines over disjoint block ranges.
@@ -138,7 +128,7 @@ type Context struct {
 	// Ops, when set, receives per-node per-segment executor statistics
 	// (rows, batches, inclusive wall time, peak operator memory, spill
 	// bytes) for operator-level EXPLAIN ANALYZE and per-operator trace
-	// spans. Unlike NodeRows it times every Next/NextBatch call, so it is
+	// spans. Unlike NodeRows it times every NextBatch call, so it is
 	// only armed for statements that asked for it.
 	Ops *plan.OpStats
 }

@@ -9,229 +9,129 @@ import (
 	"repro/internal/types"
 )
 
-// Iterator is the Volcano pull interface. Next returns io.EOF after the last
-// row; returned rows are owned by the caller (already cloned when they
-// originate in shared storage).
-type Iterator interface {
-	Next() (types.Row, error)
-	Close()
-}
-
-// sliceIter replays an in-memory row slice.
-type sliceIter struct {
-	rows []types.Row
-	pos  int
-}
-
-func (s *sliceIter) Next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
+// emitWindow hands out the next batch of at most size rows from *rows
+// without copying: the batch's container is a capacity-capped window of the
+// slice, so a consumer appending to it cannot reach rows not yet emitted.
+func emitWindow(rows *[]types.Row, size int, out *types.RowBatch) (*types.RowBatch, error) {
+	if len(*rows) == 0 {
 		return nil, io.EOF
 	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
+	n := min(size, len(*rows))
+	*out = types.RowBatch{Rows: (*rows)[:n:n]}
+	*rows = (*rows)[n:]
+	return out, nil
 }
 
-func (s *sliceIter) Close() {}
+// bufferedIter runs load once, on the first pull, and emits the rows it
+// returns in batches (index scans and materializing table scans).
+type bufferedIter struct {
+	load   func() ([]types.Row, error)
+	size   int
+	rows   []types.Row
+	out    types.RowBatch
+	loaded bool
+}
 
-// oneRowIter emits a single empty row (SELECT without FROM).
+func (b *bufferedIter) NextBatch() (*types.RowBatch, error) {
+	if !b.loaded {
+		rows, err := b.load()
+		if err != nil {
+			return nil, err
+		}
+		b.rows, b.loaded = rows, true
+	}
+	return emitWindow(&b.rows, b.size, &b.out)
+}
+
+func (b *bufferedIter) Close() { b.rows = nil }
+
+// oneRowIter emits one batch holding a single empty row (SELECT without
+// FROM).
 type oneRowIter struct{ done bool }
 
-func (o *oneRowIter) Next() (types.Row, error) {
+func (o *oneRowIter) NextBatch() (*types.RowBatch, error) {
 	if o.done {
 		return nil, io.EOF
 	}
 	o.done = true
-	return types.Row{}, nil
+	return &types.RowBatch{Rows: []types.Row{{}}}, nil
 }
 
 func (o *oneRowIter) Close() {}
 
-// newScanIter builds the row-at-a-time scan. When the store supports the
-// batch scan path (and the scan doesn't row-lock, which needs per-kept-row
-// locking inside the storage callback), it streams bounded batches through
-// the row adapter instead of materializing whole leaves. The buffering scan
-// remains for plain StoreAccess implementations, FOR UPDATE scans, and
-// Context.RowMode (the ablation shim must measure the legacy pipeline).
-func newScanIter(ctx *Context, node *plan.Scan) Iterator {
-	if node.OnSeg >= 0 && ctx.SegID != node.OnSeg {
-		// Single-segment scan (replicated table not yet widened by online
-		// expansion): every other segment contributes nothing.
-		return &emptyIter{}
-	}
-	if _, ok := ctx.Store.(BatchStoreAccess); ok && !node.ForUpdate && !ctx.RowMode {
-		return NewRowAdapter(newBatchScanIter(ctx, node))
-	}
-	return &scanIter{ctx: ctx, node: node, tick: cpuTick{ctx: ctx}}
-}
-
 // emptyIter yields no rows.
 type emptyIter struct{}
 
-func (emptyIter) Next() (types.Row, error) { return nil, io.EOF }
-func (emptyIter) Close()                   {}
+func (emptyIter) NextBatch() (*types.RowBatch, error) { return nil, io.EOF }
+func (emptyIter) Close()                              {}
 
-// scanIter drives StoreAccess.ScanTable through a pull interface by fully
-// materializing each leaf (the storage callback pushes; we re-buffer). Kept
-// as the fallback for plain StoreAccess implementations and FOR UPDATE
-// scans; everything else uses the streaming batch scan.
-type scanIter struct {
-	ctx    *Context
-	node   *plan.Scan
-	leafIx int
-	buf    []types.Row
-	pos    int
-	tick   cpuTick
-	loaded bool
+// errIter reports a construction error lazily.
+type errIter struct{ err error }
+
+func (e *errIter) NextBatch() (*types.RowBatch, error) { return nil, e.err }
+func (e *errIter) Close()                              {}
+
+func errIterf(format string, args ...any) BatchIterator {
+	return &errIter{err: fmt.Errorf(format, args...)}
 }
 
-func (s *scanIter) load() error {
-	leaves := s.node.Partitions
-	if len(leaves) == 0 && !s.node.Table.IsPartitioned() {
-		leaves = nil // nothing to scan: planner always fills Partitions
-	}
-	for _, leaf := range s.node.Partitions {
-		err := s.ctx.Store.ScanTable(s.ctx.Ctx, leaf, s.node.ForUpdate, func(row types.Row) (bool, bool, error) {
-			if err := s.tick.tick(); err != nil {
-				return false, false, err
-			}
-			keep, err := plan.EvalBool(s.node.Filter, row)
+// newScanIter drives StoreAccess.ScanTable by materializing every leaf (the
+// storage callback pushes; the iterator re-buffers) and emits the buffer in
+// batches. It serves FOR UPDATE scans, which lock each kept row inside the
+// storage callback, and stores without the batch scan path; every other scan
+// streams through batchScanIter.
+func newScanIter(ctx *Context, node *plan.Scan) BatchIterator {
+	tick := cpuTick{ctx: ctx}
+	return &bufferedIter{size: ctx.batchSize(), load: func() ([]types.Row, error) {
+		var rows []types.Row
+		for _, leaf := range node.Partitions {
+			err := ctx.Store.ScanTable(ctx.Ctx, leaf, node.ForUpdate, func(row types.Row) (bool, bool, error) {
+				if err := tick.tick(); err != nil {
+					return false, false, err
+				}
+				keep, err := plan.EvalBool(node.Filter, row)
+				if err != nil {
+					return false, false, err
+				}
+				if keep {
+					rows = append(rows, row.Clone())
+				}
+				return keep, true, nil
+			})
 			if err != nil {
-				return false, false, err
+				return nil, err
 			}
-			if keep {
-				s.buf = append(s.buf, row.Clone())
-			}
-			return keep, true, nil
-		})
-		if err != nil {
-			return err
 		}
-	}
-	s.loaded = true
-	return nil
+		return rows, nil
+	}}
 }
 
-func (s *scanIter) Next() (types.Row, error) {
-	if !s.loaded {
-		if err := s.load(); err != nil {
-			return nil, err
-		}
-	}
-	if s.pos >= len(s.buf) {
-		return nil, io.EOF
-	}
-	r := s.buf[s.pos]
-	s.pos++
-	return r, nil
-}
-
-func (s *scanIter) Close() { s.buf = nil }
-
-// indexScanIter probes the hash index with constant keys.
-type indexScanIter struct {
-	ctx    *Context
-	node   *plan.IndexScan
-	buf    []types.Row
-	pos    int
-	loaded bool
-}
-
-func (s *indexScanIter) load() error {
-	key := make([]types.Datum, len(s.node.KeyVals))
-	for i, e := range s.node.KeyVals {
-		v, err := e.Eval(nil)
-		if err != nil {
-			return err
-		}
-		key[i] = v
-	}
-	err := s.ctx.Store.IndexLookup(s.ctx.Ctx, s.node.Table, s.node.Index, key, s.node.ForUpdate,
-		func(row types.Row) (bool, error) {
-			keep, err := plan.EvalBool(s.node.Filter, row)
+// newIndexScanIter probes the hash index with constant keys.
+func newIndexScanIter(ctx *Context, node *plan.IndexScan) BatchIterator {
+	return &bufferedIter{size: ctx.batchSize(), load: func() ([]types.Row, error) {
+		key := make([]types.Datum, len(node.KeyVals))
+		for i, e := range node.KeyVals {
+			v, err := e.Eval(nil)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			if keep {
-				s.buf = append(s.buf, row.Clone())
-			}
-			return true, nil
-		})
-	s.loaded = true
-	return err
-}
-
-func (s *indexScanIter) Next() (types.Row, error) {
-	if !s.loaded {
-		if err := s.load(); err != nil {
-			return nil, err
+			key[i] = v
 		}
-	}
-	if s.pos >= len(s.buf) {
-		return nil, io.EOF
-	}
-	r := s.buf[s.pos]
-	s.pos++
-	return r, nil
+		var rows []types.Row
+		err := ctx.Store.IndexLookup(ctx.Ctx, node.Table, node.Index, key, node.ForUpdate,
+			func(row types.Row) (bool, error) {
+				keep, err := plan.EvalBool(node.Filter, row)
+				if err != nil {
+					return false, err
+				}
+				if keep {
+					rows = append(rows, row.Clone())
+				}
+				return true, nil
+			})
+		return rows, err
+	}}
 }
-
-func (s *indexScanIter) Close() { s.buf = nil }
-
-// filterIter drops rows failing the predicate.
-type filterIter struct {
-	child Iterator
-	cond  plan.Expr
-	tick  cpuTick
-}
-
-func (f *filterIter) Next() (types.Row, error) {
-	for {
-		row, err := f.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if err := f.tick.tick(); err != nil {
-			return nil, err
-		}
-		ok, err := plan.EvalBool(f.cond, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return row, nil
-		}
-	}
-}
-
-func (f *filterIter) Close() { f.child.Close() }
-
-// projectIter computes output expressions.
-type projectIter struct {
-	child Iterator
-	exprs []plan.Expr
-	tick  cpuTick
-}
-
-func (p *projectIter) Next() (types.Row, error) {
-	row, err := p.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.tick.tick(); err != nil {
-		return nil, err
-	}
-	out := make(types.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.Eval(row)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (p *projectIter) Close() { p.child.Close() }
 
 // sortIter materializes and sorts. Under a spill budget it is an external
 // merge sort: when the accumulated rows exceed the budget they are sorted and
@@ -241,14 +141,18 @@ func (p *projectIter) Close() { p.child.Close() }
 // byte-identical to the stable in-memory sort.
 type sortIter struct {
 	ctx    *Context
-	child  Iterator
+	child  BatchIterator
 	keys   []plan.SortKey
 	rows   []types.Row
-	pos    int
 	loaded bool
 	mem    opMem
 	runs   []*spillFile
 	tree   *loserTree
+	out    types.RowBatch
+}
+
+func newSortIter(ctx *Context, node *plan.Sort, child BatchIterator) *sortIter {
+	return &sortIter{ctx: ctx, child: child, keys: node.Keys, mem: opMem{ctx: ctx, stat: ctx.opStat(node)}}
 }
 
 // compareKeys orders two rows under the ORDER BY keys.
@@ -316,38 +220,48 @@ func (s *sortIter) spillRun() error {
 	return nil
 }
 
+// add buffers one input row, spilling the buffer as a sorted run first when
+// the row would not fit the budget.
+func (s *sortIter) add(row types.Row) error {
+	sz := row.Size()
+	ok, err := s.mem.grow(sz)
+	if err != nil {
+		return err
+	}
+	if !ok && s.mem.charged >= spillChunk(s.ctx.Spill.Budget()) {
+		if err := s.spillRun(); err != nil {
+			return err
+		}
+		ok, err = s.mem.grow(sz)
+		if err != nil {
+			return err
+		}
+	}
+	if !ok {
+		// Below the spill-chunk floor (or a single row beyond the whole
+		// budget): grow past the budget rather than shed a tiny run.
+		if err := s.mem.forceGrow(sz); err != nil {
+			return err
+		}
+	}
+	s.rows = append(s.rows, row)
+	return nil
+}
+
 func (s *sortIter) load() error {
-	s.mem.ctx = s.ctx
 	for {
-		row, err := s.child.Next()
+		b, err := s.child.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		sz := row.Size()
-		ok, err := s.mem.grow(sz)
-		if err != nil {
-			return err
-		}
-		if !ok && s.mem.charged >= spillChunk(s.ctx.Spill.Budget()) {
-			if err := s.spillRun(); err != nil {
-				return err
-			}
-			ok, err = s.mem.grow(sz)
-			if err != nil {
+		for i, l := 0, b.Len(); i < l; i++ {
+			if err := s.add(b.Live(i)); err != nil {
 				return err
 			}
 		}
-		if !ok {
-			// Below the spill-chunk floor (or a single row beyond the whole
-			// budget): grow past the budget rather than shed a tiny run.
-			if err := s.mem.forceGrow(sz); err != nil {
-				return err
-			}
-		}
-		s.rows = append(s.rows, row)
 	}
 	if err := s.sortBuffered(); err != nil {
 		return err
@@ -370,30 +284,40 @@ func (s *sortIter) load() error {
 			return err
 		}
 		s.tree = tree
+		s.out.Rows = make([]types.Row, 0, s.ctx.batchSize())
 	}
 	s.loaded = true
 	return nil
 }
 
-func (s *sortIter) Next() (types.Row, error) {
+func (s *sortIter) NextBatch() (*types.RowBatch, error) {
 	if !s.loaded {
 		if err := s.load(); err != nil {
 			return nil, err
 		}
 	}
-	if s.tree != nil {
-		return s.tree.pop()
+	size := s.ctx.batchSize()
+	if s.tree == nil {
+		return emitWindow(&s.rows, size, &s.out)
 	}
-	if s.pos >= len(s.rows) {
+	s.out.Reset()
+	for s.out.Len() < size {
+		row, err := s.tree.pop()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.out.Append(row)
+	}
+	if s.out.Len() == 0 {
 		return nil, io.EOF
 	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
+	return &s.out, nil
 }
 
 func (s *sortIter) Close() {
-	s.mem.ctx = s.ctx
 	s.mem.closeAll()
 	for _, sf := range s.runs {
 		sf.close()
@@ -403,58 +327,44 @@ func (s *sortIter) Close() {
 	s.child.Close()
 }
 
-// limitIter caps output.
+// limitIter skips offset rows, then passes at most count more, trimming the
+// child's batches at the window edges (a selection is narrowed, a dense
+// container re-windowed; no row is copied). Once the count is reached it
+// stops pulling its child.
 type limitIter struct {
-	child   Iterator
-	count   int64 // -1 unlimited
-	offset  int64
-	skipped int64
-	emitted int64
+	child BatchIterator
+	count int64 // rows still to emit; -1 = unlimited
+	skip  int64 // offset rows still to skip
+	out   types.RowBatch
 }
 
-func (l *limitIter) Next() (types.Row, error) {
-	for l.skipped < l.offset {
-		if _, err := l.child.Next(); err != nil {
-			return nil, err
-		}
-		l.skipped++
-	}
-	if l.count >= 0 && l.emitted >= l.count {
-		return nil, io.EOF
-	}
-	row, err := l.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.emitted++
-	return row, nil
-}
-
-func (l *limitIter) Close() { l.child.Close() }
-
-// Drain pulls every row from it into a slice (coordinator result
-// collection).
-func Drain(it Iterator) ([]types.Row, error) {
-	defer it.Close()
-	var out []types.Row
-	for {
-		row, err := it.Next()
-		if err == io.EOF {
-			return out, nil
-		}
+func (l *limitIter) NextBatch() (*types.RowBatch, error) {
+	for l.count != 0 {
+		b, err := l.child.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, row)
+		n := int64(b.Len())
+		lo := min(l.skip, n)
+		l.skip -= lo
+		hi := n
+		if l.count >= 0 {
+			hi = min(n, lo+l.count)
+			l.count -= hi - lo
+		}
+		switch {
+		case lo == hi:
+			continue
+		case lo == 0 && hi == n:
+			return b, nil
+		case b.Sel != nil:
+			l.out = types.RowBatch{Rows: b.Rows, Sel: b.Sel[lo:hi:hi]}
+		default:
+			l.out = types.RowBatch{Rows: b.Rows[lo:hi:hi]}
+		}
+		return &l.out, nil
 	}
+	return nil, io.EOF
 }
 
-// errIter reports a construction error lazily.
-type errIter struct{ err error }
-
-func (e *errIter) Next() (types.Row, error) { return nil, e.err }
-func (e *errIter) Close()                   {}
-
-func errIterf(format string, args ...any) Iterator {
-	return &errIter{err: fmt.Errorf(format, args...)}
-}
+func (l *limitIter) Close() { l.child.Close() }

@@ -8,14 +8,14 @@ import (
 	"repro/internal/types"
 )
 
-// hashJoinCore is the build/probe state shared by the row-at-a-time and batch
-// hash joins, including the Grace-style partitioned spill path: when the
-// build side outgrows the spill budget, build rows are scattered by key hash
-// into fanout partition files (the in-memory table is flushed first), probe
-// rows follow into matching probe partitions, and after the probe input ends
-// each partition pair is joined in turn — build partition loaded into a fresh
-// table, probe partition streamed against it. Rows with NULL keys never join
-// and are resolved immediately in either mode.
+// hashJoinCore is the build/probe state of the hash join, including the
+// Grace-style partitioned spill path: when the build side outgrows the spill
+// budget, build rows are scattered by key hash into fanout partition files
+// (the in-memory table is flushed first), probe rows follow into matching
+// probe partitions, and after the probe input ends each partition pair is
+// joined in turn — build partition loaded into a fresh table, probe
+// partition streamed against it. Rows with NULL keys never join and are
+// resolved immediately in either mode.
 type hashJoinCore struct {
 	ctx    *Context
 	node   *plan.HashJoin
@@ -46,52 +46,11 @@ func newHashJoinCore(ctx *Context, node *plan.HashJoin) hashJoinCore {
 	}
 }
 
-// addBuild folds one build-side row into the join state.
-func (c *hashJoinCore) addBuild(row types.Row) error {
-	h, ok, err := hashKeys(c.node.RightKeys, row)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil // NULL keys never join
-	}
-	if c.spilled {
-		return c.buildParts[h%uint64(len(c.buildParts))].writeRow(row)
-	}
-	okm, err := c.mem.grow(row.Size())
-	if err != nil {
-		return err
-	}
-	if !okm {
-		if c.ctx.Spill.Enabled() && c.mem.charged >= spillChunk(c.ctx.Spill.Budget()) {
-			if err := c.beginSpill(); err != nil {
-				return err
-			}
-			return c.buildParts[h%uint64(len(c.buildParts))].writeRow(row)
-		}
-		// Below the spill-chunk floor (a starved budget or a single row
-		// beyond all of it): keep building in memory for now.
-		if err := c.mem.forceGrow(row.Size()); err != nil {
-			return err
-		}
-	}
-	c.table[h] = append(c.table[h], row)
-	return nil
-}
-
 // addBuildBatch folds a whole build batch with one memory decision per batch
 // instead of one per row — grow takes the slot mutex and a budget CAS, which
 // the vectorized build must not pay per row. Once spilled, rows route to
-// their partition files individually (no memory is charged on that path).
+// their partition files (no memory is charged on that path).
 func (c *hashJoinCore) addBuildBatch(b *types.RowBatch) error {
-	if c.spilled {
-		for i, l := 0, b.Len(); i < l; i++ {
-			if err := c.addBuild(b.Live(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	c.hashScratch = c.hashScratch[:0]
 	c.rowScratch = c.rowScratch[:0]
 	var total int64
@@ -111,28 +70,32 @@ func (c *hashJoinCore) addBuildBatch(b *types.RowBatch) error {
 	if len(c.rowScratch) == 0 {
 		return nil
 	}
-	okm, err := c.mem.grow(total)
-	if err != nil {
-		return err
-	}
-	if !okm {
-		if c.ctx.Spill.Enabled() && c.mem.charged >= spillChunk(c.ctx.Spill.Budget()) {
-			if err := c.beginSpill(); err != nil {
-				return err
-			}
-			for i, row := range c.rowScratch {
-				if err := c.buildParts[c.hashScratch[i]%uint64(len(c.buildParts))].writeRow(row); err != nil {
+	if !c.spilled {
+		okm, err := c.mem.grow(total)
+		if err != nil {
+			return err
+		}
+		// Below the spill-chunk floor (a starved budget or a single batch
+		// beyond all of it) the build stays in memory for now.
+		if !okm {
+			if c.ctx.Spill.Enabled() && c.mem.charged >= spillChunk(c.ctx.Spill.Budget()) {
+				if err := c.beginSpill(); err != nil {
 					return err
 				}
+			} else if err := c.mem.forceGrow(total); err != nil {
+				return err
 			}
-			return nil
-		}
-		if err := c.mem.forceGrow(total); err != nil {
-			return err
 		}
 	}
 	for i, row := range c.rowScratch {
-		c.table[c.hashScratch[i]] = append(c.table[c.hashScratch[i]], row)
+		h := c.hashScratch[i]
+		if c.spilled {
+			if err := c.buildParts[h%uint64(len(c.buildParts))].writeRow(row); err != nil {
+				return err
+			}
+			continue
+		}
+		c.table[h] = append(c.table[h], row)
 	}
 	return nil
 }
@@ -313,30 +276,6 @@ func (c *hashJoinCore) closeCore() {
 	c.table = nil
 }
 
-// hashJoinIter implements hash join with the right (build/inner) side fully
-// prefetched and materialized before the left (probe/outer) side is pulled.
-// The prefetch is not just a performance choice: it is Greenplum's defence
-// against interconnect deadlock (paper Appendix B) — the inner motion is
-// drained completely before any outer tuple is requested.
-type hashJoinIter struct {
-	core  hashJoinCore
-	left  Iterator
-	right Iterator
-
-	built    bool
-	draining bool
-	tick     cpuTick
-	pending  []types.Row // matches for the current probe row
-}
-
-func newHashJoinIter(ctx *Context, node *plan.HashJoin, left, right Iterator) *hashJoinIter {
-	return &hashJoinIter{
-		core: newHashJoinCore(ctx, node),
-		left: left, right: right,
-		tick: cpuTick{ctx: ctx},
-	}
-}
-
 func hashKeys(keys []plan.Expr, row types.Row) (uint64, bool, error) {
 	var h uint64 = 1469598103934665603
 	for _, k := range keys {
@@ -354,8 +293,7 @@ func hashKeys(keys []plan.Expr, row types.Row) (uint64, bool, error) {
 
 // probeHashTable finds every build row joining with probe, re-checking exact
 // key equality (hash collisions) and the residual condition, and hands each
-// combined output row to emit. It reports whether the probe matched. Shared
-// by the row-at-a-time and batch hash joins.
+// combined output row to emit. It reports whether the probe matched.
 func probeHashTable(node *plan.HashJoin, table map[uint64][]types.Row, probe types.Row, emit func(types.Row)) (bool, error) {
 	h, ok, err := hashKeys(node.LeftKeys, probe)
 	if err != nil || !ok {
@@ -416,142 +354,89 @@ func nullExtend(probe types.Row, rwidth int) types.Row {
 	return combined
 }
 
-func (j *hashJoinIter) build() error {
-	for {
-		row, err := j.right.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := j.tick.tick(); err != nil {
-			return err
-		}
-		if err := j.core.addBuild(row); err != nil {
-			return err
-		}
-	}
-	j.built = true
-	return nil
-}
-
-func (j *hashJoinIter) Next() (types.Row, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		if len(j.pending) > 0 {
-			r := j.pending[0]
-			j.pending = j.pending[1:]
-			return r, nil
-		}
-		if j.draining {
-			row, err := j.core.drainNext()
-			if err != nil {
-				return nil, err
-			}
-			// The drain re-reads and re-joins spilled rows: charge CPU so
-			// the disk-replay pass stays governed like the first pass.
-			if err := j.tick.tick(); err != nil {
-				return nil, err
-			}
-			return row, nil
-		}
-		probe, err := j.left.Next()
-		if err == io.EOF {
-			// Probe input done; surface the spilled partitions (a no-op when
-			// the join stayed in memory).
-			j.draining = true
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := j.tick.tick(); err != nil {
-			return nil, err
-		}
-		if err := j.core.probeRow(probe, func(combined types.Row) {
-			j.pending = append(j.pending, combined)
-		}); err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (j *hashJoinIter) Close() {
-	j.core.closeCore()
-	j.left.Close()
-	j.right.Close()
-}
-
-// nestLoopIter materializes (prefetches) the inner side and rescans it per
-// outer row — the same deadlock-safe order as hash join.
+// nestLoopIter materializes (prefetches) the inner side, then streams outer
+// batches and rescans the inner rows per outer row — the same deadlock-safe
+// order as hash join: the inner motion is drained completely before the
+// first outer batch is pulled (paper Appendix B).
 type nestLoopIter struct {
-	ctx     *Context
-	node    *plan.NestLoop
-	left    Iterator
-	right   Iterator
-	inner   []types.Row
-	bytes   int64
-	built   bool
-	outer   types.Row
+	ctx   *Context
+	node  *plan.NestLoop
+	left  BatchIterator
+	right BatchIterator
+	inner []types.Row
+	bytes int64
+	built bool
+	done  bool
+	// Resume point: the current outer batch (valid until left is pulled
+	// again), its next row, and that row's next inner row.
+	outer   *types.RowBatch
+	opos    int
 	ipos    int
 	matched bool
 	rwidth  int
 	tick    cpuTick
+	out     *types.RowBatch
 }
 
-func newNestLoopIter(ctx *Context, node *plan.NestLoop, left, right Iterator) *nestLoopIter {
+func newNestLoopIter(ctx *Context, node *plan.NestLoop, left, right BatchIterator) *nestLoopIter {
 	return &nestLoopIter{ctx: ctx, node: node, left: left, right: right,
-		rwidth: node.Right.Schema().Len(), tick: cpuTick{ctx: ctx}}
+		rwidth: node.Right.Schema().Len(), tick: cpuTick{ctx: ctx},
+		out: types.NewRowBatch(ctx.batchSize())}
 }
 
 func (j *nestLoopIter) build() error {
 	for {
-		row, err := j.right.Next()
+		b, err := j.right.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if err := j.ctx.grow(row.Size()); err != nil {
+		var n int64
+		for i, l := 0, b.Len(); i < l; i++ {
+			n += b.Live(i).Size()
+		}
+		if err := j.ctx.grow(n); err != nil {
 			return err
 		}
-		j.bytes += row.Size()
-		j.inner = append(j.inner, row)
+		j.bytes += n
+		for i, l := 0, b.Len(); i < l; i++ {
+			j.inner = append(j.inner, b.Live(i))
+		}
 	}
 	j.built = true
 	return nil
 }
 
-func (j *nestLoopIter) Next() (types.Row, error) {
+func (j *nestLoopIter) NextBatch() (*types.RowBatch, error) {
 	if !j.built {
 		if err := j.build(); err != nil {
 			return nil, err
 		}
 	}
-	for {
-		if j.outer == nil {
-			row, err := j.left.Next()
+	j.out.Reset()
+	size := j.out.Cap()
+	pairs := 0 // evaluated (outer, inner) pairs, charged as CPU rows
+	for !j.done && j.out.Len() < size {
+		if j.outer == nil || j.opos >= j.outer.Len() {
+			b, err := j.left.NextBatch()
+			if err == io.EOF {
+				j.done, j.outer = true, nil
+				break
+			}
 			if err != nil {
 				return nil, err
 			}
-			j.outer = row
-			j.ipos = 0
-			j.matched = false
+			j.outer, j.opos, j.ipos, j.matched = b, 0, 0, false
 		}
-		for j.ipos < len(j.inner) {
+		outer := j.outer.Live(j.opos)
+		for j.ipos < len(j.inner) && j.out.Len() < size {
 			inner := j.inner[j.ipos]
 			j.ipos++
-			if err := j.tick.tick(); err != nil {
-				return nil, err
-			}
-			combined := make(types.Row, 0, len(j.outer)+len(inner))
-			combined = append(combined, j.outer...)
+			pairs++
+			combined := make(types.Row, 0, len(outer)+len(inner))
+			combined = append(combined, outer...)
 			combined = append(combined, inner...)
 			keep, err := plan.EvalBool(j.node.Cond, combined)
 			if err != nil {
@@ -559,20 +444,25 @@ func (j *nestLoopIter) Next() (types.Row, error) {
 			}
 			if keep {
 				j.matched = true
-				return combined, nil
+				j.out.Append(combined)
 			}
 		}
+		if j.ipos < len(j.inner) {
+			break // the batch filled mid-row; resume at ipos
+		}
+		// An unmatched row appended nothing this round, so there is room.
 		if !j.matched && j.node.Kind == plan.JoinLeft {
-			combined := make(types.Row, 0, len(j.outer)+j.rwidth)
-			combined = append(combined, j.outer...)
-			for i := 0; i < j.rwidth; i++ {
-				combined = append(combined, types.Null)
-			}
-			j.outer = nil
-			return combined, nil
+			j.out.Append(nullExtend(outer, j.rwidth))
 		}
-		j.outer = nil
+		j.opos, j.ipos, j.matched = j.opos+1, 0, false
 	}
+	if err := j.tick.tickRows(pairs); err != nil {
+		return nil, err
+	}
+	if j.out.Len() == 0 {
+		return nil, io.EOF
+	}
+	return j.out, nil
 }
 
 func (j *nestLoopIter) Close() {

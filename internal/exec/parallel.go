@@ -188,7 +188,7 @@ func (g *LocalGather) Close() {
 // falls back to the serial vectorized build. Used at slice roots — parallel
 // workers split the whole slice pipeline, not individual operators.
 func BuildBatchParallel(ctx *Context, root plan.Node) BatchIterator {
-	if ctx.Parallel > 1 && !ctx.RowMode {
+	if ctx.Parallel > 1 {
 		if it, ok := buildParallelPipeline(ctx, root); ok {
 			return it
 		}
@@ -365,6 +365,6 @@ func wrapUnaryBatch(ctx *Context, n plan.Node, child BatchIterator) BatchIterato
 			out: types.NewRowBatch(ctx.batchSize()), tick: cpuTick{ctx: ctx}}
 	default:
 		// Unreachable for parallel-safe chains.
-		return NewBatchAdapter(errIterf("exec: unexpected parallel chain node %T", n), ctx.batchSize())
+		return errIterf("exec: unexpected parallel chain node %T", n)
 	}
 }

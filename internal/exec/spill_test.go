@@ -149,12 +149,12 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 	tab := testTable(1, "t", "a", "b")
 	rows := shuffledRows(3000)
 	store := &memStore{tables: map[catalog.TableID][]types.Row{1: rows}}
-	build := func(ctx *Context) Iterator {
+	build := func(ctx *Context) BatchIterator {
 		scan := plan.NewScan(tab, []catalog.TableID{1}, nil)
-		return &sortIter{ctx: ctx, child: newScanIter(ctx, scan), keys: []plan.SortKey{
+		return BuildBatch(ctx, &plan.Sort{Child: scan, Keys: []plan.SortKey{
 			{Expr: &plan.ColRef{Idx: 1}},             // many ties: exercises stability
 			{Expr: &plan.ColRef{Idx: 0}, Desc: true}, // then descending key
-		}}
+		}})
 	}
 	inMem := drain(t, build(ctxWithStore(store)))
 
@@ -197,10 +197,7 @@ func TestSpillingHashAggMatchesInMemory(t *testing.T) {
 		},
 		plan.AggPlain,
 	)
-	build := func(ctx *Context) Iterator {
-		scan := plan.NewScan(tab, []catalog.TableID{1}, nil)
-		return newAggIter(ctx, node, newScanIter(ctx, scan))
-	}
+	build := func(ctx *Context) BatchIterator { return BuildBatch(ctx, node) }
 	inMem := drain(t, build(ctxWithStore(store)))
 
 	ctx := spillCtx(store, 8192)
@@ -242,11 +239,7 @@ func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 			plan.NewScan(left, []catalog.TableID{1}, nil),
 			plan.NewScan(right, []catalog.TableID{2}, nil),
 			[]plan.Expr{&plan.ColRef{Idx: 0}}, []plan.Expr{&plan.ColRef{Idx: 0}}, nil)
-		build := func(ctx *Context) Iterator {
-			return newHashJoinIter(ctx, node,
-				newScanIter(ctx, plan.NewScan(left, []catalog.TableID{1}, nil)),
-				newScanIter(ctx, plan.NewScan(right, []catalog.TableID{2}, nil)))
-		}
+		build := func(ctx *Context) BatchIterator { return BuildBatch(ctx, node) }
 		inMem := drain(t, build(ctxWithStore(store)))
 
 		ctx := spillCtx(store, 4096)

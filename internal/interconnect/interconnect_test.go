@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,33 @@ import (
 )
 
 func row(v int64) types.Row { return types.Row{types.NewInt(v)} }
+
+func batch(vals ...int64) *types.RowBatch {
+	b := types.NewRowBatch(len(vals))
+	for _, v := range vals {
+		b.Append(row(v))
+	}
+	return b
+}
+
+// recvAll drains a receiver until its stream closes, returning the values
+// in arrival order.
+func recvAll(t *testing.T, r *StreamReceiver) []int64 {
+	t.Helper()
+	var out []int64
+	for {
+		b, ok, err := r.RecvBatch(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, b.Live(i)[0].Int())
+		}
+	}
+}
 
 func TestGatherDeliversAllAndCloses(t *testing.T) {
 	f := NewFabric(3, 16, 0)
@@ -22,33 +50,35 @@ func TestGatherDeliversAllAndCloses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer f.DoneSending(1)
-			for i := 0; i < 10; i++ {
-				if err := f.Send(ctx, 1, -1, row(int64(seg*100+i))); err != nil {
+			for i := 0; i < 10; i += 2 {
+				v := int64(seg*100 + i)
+				if err := f.SendBatch(ctx, 1, -1, batch(v, v+1)); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 		}()
 	}
-	r := f.Receiver(1, -1)
-	got := 0
-	for {
-		_, ok, err := r.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got++
-	}
+	// recvAll returns only once the last sender's DoneSending closed the
+	// stream.
+	got := recvAll(t, f.Receiver(1, -1))
 	wg.Wait()
-	if got != 30 {
-		t.Fatalf("received %d rows, want 30", got)
+	if len(got) != 30 {
+		t.Fatalf("received %d rows, want 30", len(got))
 	}
-	rows, _ := f.Stats()
-	if rows != 30 {
-		t.Fatalf("stats rows = %d", rows)
+	seen := map[int64]bool{}
+	for _, v := range got {
+		seen[v] = true
+	}
+	if len(seen) != 30 {
+		t.Fatalf("received %d distinct rows, want 30", len(seen))
+	}
+	rows, bytes := f.Stats()
+	if rows != 30 || bytes <= 0 {
+		t.Fatalf("stats rows = %d bytes = %d", rows, bytes)
+	}
+	if n := f.BatchStats(); n != 15 {
+		t.Fatalf("stream operations = %d, want 15", n)
 	}
 }
 
@@ -58,29 +88,20 @@ func TestFanOutRouting(t *testing.T) {
 	ctx := context.Background()
 	// Send explicit destinations.
 	for i := 0; i < 10; i++ {
-		if err := f.Send(ctx, 2, i%2, row(int64(i))); err != nil {
+		if err := f.SendBatch(ctx, 2, i%2, batch(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.DoneSending(2)
 	for dest := 0; dest < 2; dest++ {
-		r := f.Receiver(2, dest)
-		n := 0
-		for {
-			v, ok, err := r.Recv(ctx)
-			if err != nil {
-				t.Fatal(err)
+		got := recvAll(t, f.Receiver(2, dest))
+		for _, v := range got {
+			if int(v)%2 != dest {
+				t.Fatalf("row %d misrouted to %d", v, dest)
 			}
-			if !ok {
-				break
-			}
-			if int(v[0].Int())%2 != dest {
-				t.Fatalf("row %v misrouted to %d", v, dest)
-			}
-			n++
 		}
-		if n != 5 {
-			t.Fatalf("dest %d received %d", dest, n)
+		if len(got) != 5 {
+			t.Fatalf("dest %d received %d", dest, len(got))
 		}
 	}
 }
@@ -92,36 +113,46 @@ func TestFlowControlBlocksSender(t *testing.T) {
 	sent := make(chan int, 100)
 	go func() {
 		for i := 0; ; i++ {
-			if err := f.Send(ctx, 1, -1, row(int64(i))); err != nil {
+			if err := f.SendBatch(ctx, 1, -1, batch(int64(i))); err != nil {
 				return
 			}
 			sent <- i
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
-	// Buffer holds 2 rows; sender must be blocked on the third.
+	// Buffer holds 2 batches; sender must be blocked on the third.
 	if n := len(sent); n > 3 {
 		t.Fatalf("sender ran ahead of flow control: %d sends", n)
 	}
 	// Draining unblocks it.
 	r := f.Receiver(1, -1)
 	for i := 0; i < 10; i++ {
-		if _, ok, err := r.Recv(ctx); err != nil || !ok {
+		if _, ok, err := r.RecvBatch(ctx); err != nil || !ok {
 			t.Fatalf("recv %d: %v %v", i, ok, err)
 		}
 	}
 }
 
-func TestTrySendReportsFullBuffer(t *testing.T) {
+// TestSendBatchOnFullBufferHonorsCancel: a send into a full buffer blocks
+// until the context ends and then returns the context's error, delivering
+// and counting nothing.
+func TestSendBatchOnFullBufferHonorsCancel(t *testing.T) {
 	f := NewFabric(1, 1, 0)
 	f.OpenGather(1, 1)
-	ok, err := f.TrySend(1, -1, row(1))
-	if err != nil || !ok {
-		t.Fatal("first send should fit")
+	if err := f.SendBatch(context.Background(), 1, -1, batch(1)); err != nil {
+		t.Fatalf("first send should fit: %v", err)
 	}
-	ok, err = f.TrySend(1, -1, row(2))
-	if err != nil || ok {
-		t.Fatal("second send should report full")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := f.SendBatch(ctx, 1, -1, batch(2, 3)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("send on a full buffer: err = %v, want the context's error", err)
+	}
+	if rows, _ := f.Stats(); rows != 1 || f.BatchStats() != 1 {
+		t.Fatalf("stats after a cancelled send: rows=%d batches=%d, want 1/1", rows, f.BatchStats())
+	}
+	f.DoneSending(1)
+	if got := recvAll(t, f.Receiver(1, -1)); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("stream holds %v, want [1]", got)
 	}
 }
 
@@ -131,7 +162,7 @@ func TestRecvCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	r := f.Receiver(1, -1)
-	_, _, err := r.Recv(ctx)
+	_, _, err := r.RecvBatch(ctx)
 	if err == nil {
 		t.Fatal("recv on empty stream must respect ctx")
 	}
@@ -139,26 +170,18 @@ func TestRecvCancellation(t *testing.T) {
 
 func TestUnknownStreamErrors(t *testing.T) {
 	f := NewFabric(1, 1, 0)
-	if err := f.Send(context.Background(), 9, -1, row(1)); err == nil {
+	if err := f.SendBatch(context.Background(), 9, -1, batch(1)); err == nil {
 		t.Fatal("send to unopened motion must fail")
 	}
 	r := f.Receiver(9, -1)
-	if _, _, err := r.Recv(context.Background()); err == nil {
+	if _, _, err := r.RecvBatch(context.Background()); err == nil {
 		t.Fatal("recv from unopened motion must fail")
 	}
 }
 
-func batch(vals ...int64) *types.RowBatch {
-	b := types.NewRowBatch(len(vals))
-	for _, v := range vals {
-		b.Append(row(v))
-	}
-	return b
-}
-
-// TestBatchFramingPreservesOrder sends a mix of whole batches and single
-// rows down one stream and checks the row-level view preserves order while
-// the batch counter reflects the framing.
+// TestBatchFramingPreservesOrder sends batches of different sizes down one
+// stream and checks the receiver sees the rows in order while the batch
+// counter reflects the framing.
 func TestBatchFramingPreservesOrder(t *testing.T) {
 	f := NewFabric(1, 16, 0)
 	f.OpenGather(1, 1)
@@ -166,7 +189,7 @@ func TestBatchFramingPreservesOrder(t *testing.T) {
 	if err := f.SendBatch(ctx, 1, -1, batch(0, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Send(ctx, 1, -1, row(3)); err != nil {
+	if err := f.SendBatch(ctx, 1, -1, batch(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.SendBatch(ctx, 1, -1, batch(4, 5)); err != nil {
@@ -177,25 +200,21 @@ func TestBatchFramingPreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.DoneSending(1)
-	r := f.Receiver(1, -1)
-	for i := 0; i < 6; i++ {
-		v, ok, err := r.Recv(ctx)
-		if err != nil || !ok {
-			t.Fatalf("recv %d: ok=%v err=%v", i, ok, err)
-		}
-		if v[0].Int() != int64(i) {
-			t.Fatalf("row %d out of order: %v", i, v)
-		}
+	got := recvAll(t, f.Receiver(1, -1))
+	if len(got) != 6 {
+		t.Fatalf("received %v, want 6 rows", got)
 	}
-	if _, ok, _ := r.Recv(ctx); ok {
-		t.Fatal("stream should be closed")
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("row %d out of order: %v", i, got)
+		}
 	}
 	rows, _ := f.Stats()
 	if rows != 6 {
 		t.Fatalf("stats rows = %d", rows)
 	}
 	if n := f.BatchStats(); n != 3 {
-		t.Fatalf("stream operations = %d, want 3 (two batches + one row)", n)
+		t.Fatalf("stream operations = %d, want 3", n)
 	}
 }
 
@@ -245,7 +264,7 @@ func TestBatchFanOutPerDestination(t *testing.T) {
 func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 	run := func(prefetchInner bool) bool {
 		// Motion 1 = outer stream, Motion 2 = inner stream, one segment.
-		f := NewFabric(1, 1, 0) // 1-row buffers: easiest to wedge
+		f := NewFabric(1, 1, 0) // 1-batch buffers: easiest to wedge
 		f.OpenGather(1, 1)
 		f.OpenGather(2, 1)
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
@@ -258,13 +277,13 @@ func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 		go func() {
 			defer close(prodDone)
 			for i := 0; i < 5; i++ {
-				if f.Send(ctx, 1, -1, row(int64(i))) != nil {
+				if f.SendBatch(ctx, 1, -1, batch(int64(i))) != nil {
 					return
 				}
 			}
 			f.DoneSending(1)
 			for i := 0; i < 5; i++ {
-				if f.Send(ctx, 2, -1, row(int64(100+i))) != nil {
+				if f.SendBatch(ctx, 2, -1, batch(int64(100+i))) != nil {
 					return
 				}
 			}
@@ -280,7 +299,7 @@ func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 				// first; prefetching the OUTER side fully models Greenplum's
 				// "materialize the blocked side before switching".
 				for {
-					_, ok, err := outer.Recv(ctx)
+					_, ok, err := outer.RecvBatch(ctx)
 					if err != nil {
 						consumed <- false
 						return
@@ -290,7 +309,7 @@ func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 					}
 				}
 				for {
-					_, ok, err := inner.Recv(ctx)
+					_, ok, err := inner.RecvBatch(ctx)
 					if err != nil {
 						consumed <- false
 						return
@@ -304,12 +323,12 @@ func TestNetworkDeadlockPreventedByPrefetch(t *testing.T) {
 			}
 			// Demand-driven order: one outer row, then switch to inner —
 			// but inner rows only appear after ALL outer rows are sent,
-			// and the outer buffer (1 row) is full: wedged.
-			if _, _, err := outer.Recv(ctx); err != nil {
+			// and the outer buffer (1 batch) is full: wedged.
+			if _, _, err := outer.RecvBatch(ctx); err != nil {
 				consumed <- false
 				return
 			}
-			if _, _, err := inner.Recv(ctx); err != nil {
+			if _, _, err := inner.RecvBatch(ctx); err != nil {
 				consumed <- false
 				return
 			}

@@ -223,7 +223,7 @@ func (a *AOColumn) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []He
 		rows = rows[:0]
 		return ok
 	}
-	buildRow := func(get func(c int) types.Datum) types.Row {
+	makeRow := func(get func(c int) types.Datum) types.Row {
 		row := make(types.Row, a.ncols)
 		if cols == nil {
 			for c := range row {
@@ -321,7 +321,7 @@ func (a *AOColumn) ForEachBatch(opts *ScanOpts, batchSize int, fn func(hdrs []He
 		for k := 0; k < chunk; k++ {
 			i := base + k
 			tid++
-			row := buildRow(func(c int) types.Datum { return a.tail[c][i] })
+			row := makeRow(func(c int) types.Datum { return a.tail[c][i] })
 			hdrs = append(hdrs, Header{TID: tid, Xmin: a.tailX[i], Xmax: a.visimap[tid], UpdatedTo: a.updated[tid]})
 			rows = append(rows, row)
 		}
