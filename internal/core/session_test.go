@@ -179,6 +179,21 @@ func TestParams(t *testing.T) {
 	}
 }
 
+// TestNegativeOffsetSkipsNothing: a negative OFFSET is read as zero, so the
+// statement returns its rows instead of failing the executor.
+func TestNegativeOffsetSkipsNothing(t *testing.T) {
+	_, s := newTestEngine(t, 2)
+	if res := mustExec(t, s, "SELECT 1 OFFSET -1"); len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
+		t.Fatalf("SELECT 1 OFFSET -1 = %v, want [[1]]", res.Rows)
+	}
+	mustExec(t, s, "CREATE TABLE t (c1 int) DISTRIBUTED BY (c1)")
+	mustExec(t, s, "INSERT INTO t VALUES (1), (2), (3), (4)")
+	res := mustExec(t, s, "SELECT c1 FROM t ORDER BY c1 LIMIT 3 OFFSET -2")
+	if len(res.Rows) != 3 || res.Rows[0][0].Int() != 1 || res.Rows[2][0].Int() != 3 {
+		t.Fatalf("LIMIT 3 OFFSET -2 = %v, want [[1] [2] [3]]", res.Rows)
+	}
+}
+
 func TestExplain(t *testing.T) {
 	_, s := newTestEngine(t, 2)
 	mustExec(t, s, "CREATE TABLE t (c1 int, c2 int) DISTRIBUTED BY (c1)")

@@ -65,21 +65,26 @@ type group struct {
 	states []aggState
 }
 
-// aggCore is the phase-aware hash aggregation state behind batchAggIter:
-// input is absorbed row by row (absorb) or a batch at a time (absorbFast),
-// grouped output is read via nextOutput after finish.
+// batchAggIter is the vectorized, phase-aware hash aggregate: input is
+// absorbed batch-at-a-time (absorbFast when every key and argument is a bare
+// column, absorb row by row otherwise) and the grouped output is emitted in
+// batches via nextOutput after finish.
 //
-// Under a spill budget the core degrades gracefully: when the hash table
-// outgrows the budget, every group's transition state is written as a
-// partial-layout row to one of fanout partition files (by group-key hash) and
-// the table is cleared. After input ends, partitions are re-aggregated one at
-// a time — mergePartial folds the dumped states back together — so the
-// working set is bounded by max(budget, one partition) instead of the number
-// of distinct groups. DISTINCT aggregates pin their dedup sets in memory and
-// cannot spill.
-type aggCore struct {
+// Under a spill budget it degrades gracefully: when the hash table outgrows
+// the budget, every group's transition state is written as a partial-layout
+// row to one of fanout partition files (by group-key hash) and the table is
+// cleared. After input ends, partitions are re-aggregated one at a time —
+// mergePartial folds the dumped states back together — so the working set is
+// bounded by max(budget, one partition) instead of the number of distinct
+// groups. DISTINCT aggregates pin their dedup sets in memory and cannot
+// spill.
+type batchAggIter struct {
 	ctx    *Context
 	node   *plan.Agg
+	child  BatchIterator
+	loaded bool
+	tick   cpuTick
+	out    *types.RowBatch
 	groups map[uint64][]*group
 	order  []*group
 	mem    opMem
@@ -88,6 +93,14 @@ type aggCore struct {
 	// findGroup only clones when it creates a new group.
 	groupCols []int
 	scratch   types.Row
+
+	// Column-resolved fast path: when every group key and aggregate
+	// argument is a bare column reference (the shape two-phase planning
+	// produces for the hot analytical queries), absorption reads columns
+	// directly instead of walking expression trees per row.
+	fast     bool
+	groupIdx []int
+	specCols []int // -1 = count(*)
 
 	// Spill state.
 	spillable bool // spilling enabled and every spec is mergeable
@@ -102,7 +115,7 @@ type aggCore struct {
 	reloadTick cpuTick
 }
 
-func newAggCore(ctx *Context, node *plan.Agg) aggCore {
+func newBatchAggIter(ctx *Context, node *plan.Agg, child BatchIterator) *batchAggIter {
 	cols := make([]int, len(node.GroupBy))
 	for i := range cols {
 		cols[i] = i
@@ -113,8 +126,11 @@ func newAggCore(ctx *Context, node *plan.Agg) aggCore {
 			spillable = false // dedup sets are not mergeable across dumps
 		}
 	}
-	return aggCore{
+	a := &batchAggIter{
 		ctx: ctx, node: node,
+		child:      child,
+		tick:       cpuTick{ctx: ctx},
+		out:        types.NewRowBatch(ctx.batchSize()),
 		mem:        opMem{ctx: ctx, stat: ctx.opStat(node)},
 		groups:     make(map[uint64][]*group),
 		groupCols:  cols,
@@ -122,9 +138,107 @@ func newAggCore(ctx *Context, node *plan.Agg) aggCore {
 		spillable:  spillable,
 		reloadTick: cpuTick{ctx: ctx},
 	}
+	if node.Phase != plan.AggFinal && node.Phase != plan.AggIntermediate { // those phases merge partial layouts
+		a.fast = true
+		for _, g := range node.GroupBy {
+			c, ok := plan.ColIndex(g)
+			if !ok {
+				a.fast = false
+				break
+			}
+			a.groupIdx = append(a.groupIdx, c)
+		}
+		if a.fast {
+			for _, sp := range node.Specs {
+				if sp.Arg == nil {
+					a.specCols = append(a.specCols, -1)
+					continue
+				}
+				c, ok := plan.ColIndex(sp.Arg)
+				if !ok {
+					a.fast = false
+					break
+				}
+				a.specCols = append(a.specCols, c)
+			}
+		}
+	}
+	return a
 }
 
-func (a *aggCore) findGroup(keys types.Row) (*group, error) {
+func (a *batchAggIter) load() error {
+	sawRow := false
+	for {
+		b, err := a.child.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if err := a.tick.tickRows(b.Len()); err != nil {
+			return err
+		}
+		if b.Len() > 0 {
+			sawRow = true
+		}
+		if a.fast {
+			if err := a.absorbFast(b); err != nil {
+				return err
+			}
+			continue
+		}
+		for i, l := 0, b.Len(); i < l; i++ {
+			if err := a.absorb(b.Live(i)); err != nil {
+				return err
+			}
+		}
+	}
+	if err := a.finish(sawRow); err != nil {
+		return err
+	}
+	a.loaded = true
+	return nil
+}
+
+func (a *batchAggIter) NextBatch() (*types.RowBatch, error) {
+	if !a.loaded {
+		if err := a.load(); err != nil {
+			return nil, err
+		}
+	}
+	a.out.Reset()
+	size := a.out.Cap()
+	for a.out.Len() < size {
+		row, err := a.nextOutput()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		a.out.Append(row)
+	}
+	if a.out.Len() == 0 {
+		return nil, io.EOF
+	}
+	return a.out, nil
+}
+
+func (a *batchAggIter) Close() {
+	a.mem.closeAll()
+	for _, sf := range a.parts {
+		if sf != nil {
+			sf.close()
+		}
+	}
+	a.parts = nil
+	a.groups = nil
+	a.order = nil
+	a.child.Close()
+}
+
+func (a *batchAggIter) findGroup(keys types.Row) (*group, error) {
 	h := keys.Hash(a.groupCols[:len(keys)])
 	for _, g := range a.groups[h] {
 		if g.keys.Equal(keys) {
@@ -163,7 +277,7 @@ func (a *aggCore) findGroup(keys types.Row) (*group, error) {
 
 // dumpGroups flushes every in-memory group's transition state as a
 // partial-layout row to its hash partition file and clears the table.
-func (a *aggCore) dumpGroups() error {
+func (a *batchAggIter) dumpGroups() error {
 	if a.parts == nil {
 		fanout := spillFanout(a.node.EstMemBytes, a.ctx.Spill.Budget())
 		if err := a.mem.growFiles(int64(fanout) * spillFileOverhead); err != nil {
@@ -198,7 +312,7 @@ func (a *aggCore) dumpGroups() error {
 
 // sortGroups fixes the deterministic (by group key) output order of the
 // in-memory groups.
-func (a *aggCore) sortGroups() {
+func (a *batchAggIter) sortGroups() {
 	sort.SliceStable(a.order, func(i, j int) bool {
 		ki, kj := a.order[i].keys, a.order[j].keys
 		for c := range ki {
@@ -213,7 +327,7 @@ func (a *aggCore) sortGroups() {
 // loadPartition re-aggregates one spilled partition into a fresh in-memory
 // table: the dumped rows are the partial layout, so mergePartial folds states
 // of the same group (possibly dumped several times) back together exactly.
-func (a *aggCore) loadPartition(sf *spillFile) error {
+func (a *batchAggIter) loadPartition(sf *spillFile) error {
 	a.groups = make(map[uint64][]*group)
 	a.order = nil
 	a.emitPos = 0
@@ -251,7 +365,7 @@ func (a *aggCore) loadPartition(sf *spillFile) error {
 // nextOutput returns the next output row after finish: the sorted in-memory
 // groups, then — when the aggregate spilled — each partition re-aggregated
 // and emitted in turn (sorted by key within a partition). io.EOF at the end.
-func (a *aggCore) nextOutput() (types.Row, error) {
+func (a *batchAggIter) nextOutput() (types.Row, error) {
 	for {
 		if a.emitPos < len(a.order) {
 			g := a.order[a.emitPos]
@@ -272,7 +386,7 @@ func (a *aggCore) nextOutput() (types.Row, error) {
 
 // absorb folds one input row into its group. The key row is evaluated into
 // the reused scratch buffer; findGroup clones it if the group is new.
-func (a *aggCore) absorb(row types.Row) error {
+func (a *batchAggIter) absorb(row types.Row) error {
 	keys := a.scratch
 	for i, g := range a.node.GroupBy {
 		v, err := g.Eval(row)
@@ -308,12 +422,12 @@ func (a *aggCore) absorb(row types.Row) error {
 // are all bare column references: direct row reads, no expression tree
 // walks, honouring the batch's selection vector. Used by the vectorized
 // aggregate (never for the final phase, which merges partial layouts).
-func (a *aggCore) absorbFast(b *types.RowBatch, groupIdx, specCols []int) error {
+func (a *batchAggIter) absorbFast(b *types.RowBatch) error {
 	keys := a.scratch
 	specs := a.node.Specs
 	for ri, l := 0, b.Len(); ri < l; ri++ {
 		row := b.Live(ri)
-		for i, c := range groupIdx {
+		for i, c := range a.groupIdx {
 			keys[i] = row[c]
 		}
 		grp, err := a.findGroup(keys)
@@ -322,7 +436,7 @@ func (a *aggCore) absorbFast(b *types.RowBatch, groupIdx, specCols []int) error 
 		}
 		for i := range specs {
 			st := &grp.states[i]
-			c := specCols[i]
+			c := a.specCols[i]
 			if c < 0 { // count(*)
 				st.count++
 				st.any = true
@@ -335,7 +449,7 @@ func (a *aggCore) absorbFast(b *types.RowBatch, groupIdx, specCols []int) error 
 }
 
 // finish handles empty-input scalar aggregates and fixes the output order.
-func (a *aggCore) finish(sawRow bool) error {
+func (a *batchAggIter) finish(sawRow bool) error {
 	// Scalar aggregate over an empty input still yields one row; a partial
 	// scalar agg also emits its (empty) transition row so the final phase
 	// can produce count=0 / sum=NULL.
@@ -360,22 +474,10 @@ func (a *aggCore) finish(sawRow bool) error {
 	return nil
 }
 
-func (a *aggCore) close() {
-	a.mem.closeAll()
-	for _, sf := range a.parts {
-		if sf != nil {
-			sf.close()
-		}
-	}
-	a.parts = nil
-	a.groups = nil
-	a.order = nil
-}
-
 // mergePartial folds one partial-layout row into the group (final phase).
 // Partial layout: group cols, then per spec: avg → (sum, count); others →
 // single column.
-func (a *aggCore) mergePartial(grp *group, row types.Row) error {
+func (a *batchAggIter) mergePartial(grp *group, row types.Row) error {
 	col := len(a.node.GroupBy)
 	for i, spec := range a.node.Specs {
 		st := &grp.states[i]
@@ -437,7 +539,7 @@ func (a *aggCore) mergePartial(grp *group, row types.Row) error {
 // group keys, then per spec avg → (sum, count), others → one column. It is
 // both what partial/intermediate phases send upstream and what spilled
 // aggregates write to partition files (mergePartial reads it back).
-func (a *aggCore) emitTransition(grp *group) types.Row {
+func (a *batchAggIter) emitTransition(grp *group) types.Row {
 	out := make(types.Row, 0, len(grp.keys)+len(a.node.Specs)+1)
 	out = append(out, grp.keys...)
 	for i, spec := range a.node.Specs {
@@ -470,7 +572,7 @@ func (a *aggCore) emitTransition(grp *group) types.Row {
 	return out
 }
 
-func (a *aggCore) emit(grp *group) types.Row {
+func (a *batchAggIter) emit(grp *group) types.Row {
 	if a.node.Phase == plan.AggPartial || a.node.Phase == plan.AggIntermediate {
 		return a.emitTransition(grp)
 	}

@@ -273,231 +273,6 @@ func (p *batchProjectIter) NextBatch() (*types.RowBatch, error) {
 
 func (p *batchProjectIter) Close() { p.child.Close() }
 
-// batchHashJoinIter is the vectorized hash join: the right (build/inner)
-// side is drained batch-at-a-time and fully materialized before the first
-// probe batch is pulled. The prefetch is not just a performance choice: it is
-// Greenplum's defence against interconnect deadlock (paper Appendix B) — the
-// inner motion is drained completely before any outer tuple is requested.
-type batchHashJoinIter struct {
-	core        hashJoinCore
-	left, right BatchIterator
-
-	built    bool
-	draining bool
-	tick     cpuTick
-	out      *types.RowBatch
-}
-
-func newBatchHashJoinIter(ctx *Context, node *plan.HashJoin, left, right BatchIterator) *batchHashJoinIter {
-	return &batchHashJoinIter{
-		core: newHashJoinCore(ctx, node),
-		left: left, right: right,
-		tick: cpuTick{ctx: ctx},
-		out:  types.NewRowBatch(ctx.batchSize()),
-	}
-}
-
-func (j *batchHashJoinIter) build() error {
-	for {
-		b, err := j.right.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := j.tick.tickRows(b.Len()); err != nil {
-			return err
-		}
-		if err := j.core.addBuildBatch(b); err != nil {
-			return err
-		}
-	}
-	j.built = true
-	return nil
-}
-
-func (j *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		if j.draining {
-			// Spilled partitions are joined pairwise and their output rows
-			// re-batched (no-op when the join stayed in memory).
-			j.out.Reset()
-			size := j.out.Cap()
-			for j.out.Len() < size {
-				row, err := j.core.drainNext()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				j.out.Append(row)
-			}
-			if j.out.Len() == 0 {
-				return nil, io.EOF
-			}
-			// Charge CPU for the disk-replay pass like the probe pass.
-			if err := j.tick.tickRows(j.out.Len()); err != nil {
-				return nil, err
-			}
-			return j.out, nil
-		}
-		b, err := j.left.NextBatch()
-		if err == io.EOF {
-			j.draining = true
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := j.tick.tickRows(b.Len()); err != nil {
-			return nil, err
-		}
-		j.out.Reset()
-		for i, l := 0, b.Len(); i < l; i++ {
-			probe := b.Live(i)
-			if err := j.core.probeRow(probe, func(combined types.Row) {
-				j.out.Append(combined)
-			}); err != nil {
-				return nil, err
-			}
-		}
-		if j.out.Len() > 0 {
-			return j.out, nil
-		}
-	}
-}
-
-func (j *batchHashJoinIter) Close() {
-	j.core.closeCore()
-	j.left.Close()
-	j.right.Close()
-}
-
-// batchAggIter is the vectorized hash aggregate: input is absorbed
-// batch-at-a-time into the shared aggregation core and the grouped output is
-// emitted in batches.
-type batchAggIter struct {
-	core   aggCore
-	child  BatchIterator
-	loaded bool
-	tick   cpuTick
-	out    *types.RowBatch
-
-	// Column-resolved fast path: when every group key and aggregate
-	// argument is a bare column reference (the shape two-phase planning
-	// produces for the hot analytical queries), absorption reads columns
-	// directly instead of walking expression trees per row.
-	fast     bool
-	groupIdx []int
-	specCols []int // -1 = count(*)
-}
-
-func newBatchAggIter(ctx *Context, node *plan.Agg, child BatchIterator) *batchAggIter {
-	a := &batchAggIter{
-		core:  newAggCore(ctx, node),
-		child: child,
-		tick:  cpuTick{ctx: ctx},
-		out:   types.NewRowBatch(ctx.batchSize()),
-	}
-	if node.Phase != plan.AggFinal && node.Phase != plan.AggIntermediate { // those phases merge partial layouts
-		a.fast = true
-		for _, g := range node.GroupBy {
-			c, ok := plan.ColIndex(g)
-			if !ok {
-				a.fast = false
-				break
-			}
-			a.groupIdx = append(a.groupIdx, c)
-		}
-		if a.fast {
-			for _, sp := range node.Specs {
-				if sp.Arg == nil {
-					a.specCols = append(a.specCols, -1)
-					continue
-				}
-				c, ok := plan.ColIndex(sp.Arg)
-				if !ok {
-					a.fast = false
-					break
-				}
-				a.specCols = append(a.specCols, c)
-			}
-		}
-	}
-	return a
-}
-
-func (a *batchAggIter) load() error {
-	sawRow := false
-	for {
-		b, err := a.child.NextBatch()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := a.tick.tickRows(b.Len()); err != nil {
-			return err
-		}
-		if b.Len() > 0 {
-			sawRow = true
-		}
-		if a.fast {
-			if err := a.core.absorbFast(b, a.groupIdx, a.specCols); err != nil {
-				return err
-			}
-			continue
-		}
-		for i, l := 0, b.Len(); i < l; i++ {
-			if err := a.core.absorb(b.Live(i)); err != nil {
-				return err
-			}
-		}
-	}
-	if err := a.core.finish(sawRow); err != nil {
-		return err
-	}
-	a.loaded = true
-	return nil
-}
-
-func (a *batchAggIter) NextBatch() (*types.RowBatch, error) {
-	if !a.loaded {
-		if err := a.load(); err != nil {
-			return nil, err
-		}
-	}
-	a.out.Reset()
-	size := a.out.Cap()
-	for a.out.Len() < size {
-		row, err := a.core.nextOutput()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.out.Append(row)
-	}
-	if a.out.Len() == 0 {
-		return nil, io.EOF
-	}
-	return a.out, nil
-}
-
-func (a *batchAggIter) Close() {
-	a.core.close()
-	a.child.Close()
-}
-
 // motionRecvBatchIter pulls whole batches arriving from the sending slice of
 // a motion.
 type motionRecvBatchIter struct {
@@ -575,7 +350,7 @@ func buildBatchNode(ctx *Context, node plan.Node) BatchIterator {
 	case *plan.Sort:
 		return newSortIter(ctx, n, BuildBatch(ctx, n.Child))
 	case *plan.Limit:
-		return &limitIter{child: BuildBatch(ctx, n.Child), count: n.Count, skip: n.Offset}
+		return &limitIter{child: BuildBatch(ctx, n.Child), count: n.Count, skip: max(n.Offset, 0)}
 	case *plan.Motion:
 		if ctx.Recv == nil {
 			return errIterf("exec: no receiver wiring for slice %d", n.SliceID)

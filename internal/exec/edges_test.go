@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -157,19 +158,22 @@ func TestBatchNodesAtBatchEdges(t *testing.T) {
 		}
 	}
 
-	// Limit/Offset: edges inside, on and past a batch of 3, LIMIT 0, and
-	// windows past the end — over a dense child and over a child whose
-	// batches carry a selection vector (the even rows).
+	// Limit/Offset: edges inside, on and past a batch of 3, LIMIT 0,
+	// windows past the end, and a negative OFFSET (skips nothing) — over a
+	// dense child and over a child whose batches carry a selection vector
+	// (the even rows).
 	windows := [][2]int64{
 		{0, 0}, {5, 0}, {0, 2}, {0, 3}, {0, 4}, {2, -1}, {3, -1}, {4, -1},
 		{1, 3}, {3, 3}, {4, 5}, {8, 10}, {12, 1}, {0, -1}, {2, 1},
+		{-1, -1}, {-1, 3},
 	}
 	for _, w := range windows {
-		off, cnt := w[0], w[1]
+		nodeOff, cnt := w[0], w[1]
+		off := max(nodeOff, 0)
 		child := scan(seqTab)
 		cases = append(cases, tcase{
-			name: fmt.Sprintf("limit/dense/off=%d/count=%d", off, cnt),
-			root: &plan.Limit{Child: child, Count: cnt, Offset: off},
+			name: fmt.Sprintf("limit/dense/off=%d/count=%d", nodeOff, cnt),
+			root: &plan.Limit{Child: child, Count: cnt, Offset: nodeOff},
 			want: window(tables[tSeq], off, cnt),
 			check: func(t *testing.T, size int, rows *plan.NodeRowCounts, _ *lockStore, _ int64) {
 				// The child is pulled only until the count is reached: up to
@@ -187,8 +191,8 @@ func TestBatchNodesAtBatchEdges(t *testing.T) {
 		})
 		evens := filter(tables[tSeq], func(r types.Row) bool { return r[0].Int()%2 == 0 })
 		cases = append(cases, tcase{
-			name: fmt.Sprintf("limit/selected/off=%d/count=%d", off, cnt),
-			root: &plan.Limit{Child: plan.NewScan(seqTab, []catalog.TableID{tSeq}, isEven), Count: cnt, Offset: off},
+			name: fmt.Sprintf("limit/selected/off=%d/count=%d", nodeOff, cnt),
+			root: &plan.Limit{Child: plan.NewScan(seqTab, []catalog.TableID{tSeq}, isEven), Count: cnt, Offset: nodeOff},
 			want: window(evens, off, cnt),
 		})
 	}
@@ -304,6 +308,54 @@ func TestBatchNodesAtBatchEdges(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// ctxCPU charges like a resource-group slot under a cancelled statement:
+// every charge reports the context's error.
+type ctxCPU struct{}
+
+func (ctxCPU) ChargeCPU(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+
+// pullCounter counts the batches pulled from its child.
+type pullCounter struct {
+	BatchIterator
+	pulls int
+}
+
+func (p *pullCounter) NextBatch() (*types.RowBatch, error) {
+	p.pulls++
+	return p.BatchIterator.NextBatch()
+}
+
+// TestNestLoopChargesCPUWhileEvaluating: a nested loop whose condition
+// matches nothing never fills an output batch, so it must charge CPU as it
+// evaluates pairs. A cancelled statement then stops it within one batch of
+// pairs, not after the whole outer x inner product.
+func TestNestLoopChargesCPUWhileEvaluating(t *testing.T) {
+	const n, size = 300, 16
+	var outerRows, innerRows []types.Row
+	for i := 0; i < n; i++ {
+		outerRows = append(outerRows, intRow(int64(i)))
+		innerRows = append(innerRows, intRow(int64(i)))
+	}
+	outerTab, innerTab := testTable(1, "o", "x"), testTable(2, "i", "y")
+	node := plan.NewNestLoop(plan.JoinInner,
+		plan.NewScan(outerTab, []catalog.TableID{outerTab.ID}, nil),
+		plan.NewScan(innerTab, []catalog.TableID{innerTab.ID}, nil),
+		&plan.Const{Val: types.NewBool(false)})
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := &Context{Ctx: cctx, NumSegments: 1, BatchSize: size,
+		CPU: ctxCPU{}, CPUBatchCost: time.Nanosecond, CPUBatchRows: size}
+	outer := &pullCounter{BatchIterator: &sliceIter{rows: outerRows, size: size}}
+	it := newNestLoopIter(ctx, node, outer, &sliceIter{rows: innerRows, size: size})
+	defer it.Close()
+	if _, err := it.NextBatch(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NextBatch error = %v, want context.Canceled", err)
+	}
+	if outer.pulls != 1 {
+		t.Fatalf("pulled %d outer batches before stopping, want 1", outer.pulls)
 	}
 }
 

@@ -334,7 +334,7 @@ func (s *sortIter) Close() {
 type limitIter struct {
 	child BatchIterator
 	count int64 // rows still to emit; -1 = unlimited
-	skip  int64 // offset rows still to skip
+	skip  int64 // offset rows still to skip; a negative OFFSET skips none
 	out   types.RowBatch
 }
 

@@ -8,20 +8,30 @@ import (
 	"repro/internal/types"
 )
 
-// hashJoinCore is the build/probe state of the hash join, including the
-// Grace-style partitioned spill path: when the build side outgrows the spill
-// budget, build rows are scattered by key hash into fanout partition files
-// (the in-memory table is flushed first), probe rows follow into matching
-// probe partitions, and after the probe input ends each partition pair is
-// joined in turn — build partition loaded into a fresh table, probe
-// partition streamed against it. Rows with NULL keys never join and are
-// resolved immediately in either mode.
-type hashJoinCore struct {
-	ctx    *Context
-	node   *plan.HashJoin
-	mem    opMem
-	table  map[uint64][]types.Row
-	rwidth int
+// batchHashJoinIter is the vectorized hash join: the right (build/inner)
+// side is drained batch-at-a-time and fully materialized before the first
+// probe batch is pulled. The prefetch is not just a performance choice: it is
+// Greenplum's defence against interconnect deadlock (paper Appendix B) — the
+// inner motion is drained completely before any outer tuple is requested.
+//
+// The build side spills Grace-style: when it outgrows the spill budget,
+// build rows are scattered by key hash into fanout partition files (the
+// in-memory table is flushed first), probe rows follow into matching probe
+// partitions, and after the probe input ends each partition pair is joined
+// in turn — build partition loaded into a fresh table, probe partition
+// streamed against it. Rows with NULL keys never join and are resolved
+// immediately in either mode.
+type batchHashJoinIter struct {
+	ctx         *Context
+	node        *plan.HashJoin
+	left, right BatchIterator
+	mem         opMem
+	table       map[uint64][]types.Row
+	rwidth      int
+	built       bool
+	draining    bool
+	tick        cpuTick
+	out         *types.RowBatch
 
 	spilled    bool
 	buildParts []*spillFile
@@ -37,184 +47,282 @@ type hashJoinCore struct {
 	pending   []types.Row
 }
 
-func newHashJoinCore(ctx *Context, node *plan.HashJoin) hashJoinCore {
-	return hashJoinCore{
+func newBatchHashJoinIter(ctx *Context, node *plan.HashJoin, left, right BatchIterator) *batchHashJoinIter {
+	return &batchHashJoinIter{
 		ctx: ctx, node: node,
+		left: left, right: right,
 		mem:    opMem{ctx: ctx, stat: ctx.opStat(node)},
 		table:  make(map[uint64][]types.Row),
 		rwidth: node.Right.Schema().Len(),
+		tick:   cpuTick{ctx: ctx},
+		out:    types.NewRowBatch(ctx.batchSize()),
 	}
+}
+
+func (j *batchHashJoinIter) build() error {
+	for {
+		b, err := j.right.NextBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if err := j.tick.tickRows(b.Len()); err != nil {
+			return err
+		}
+		if err := j.addBuildBatch(b); err != nil {
+			return err
+		}
+	}
+	j.built = true
+	return nil
+}
+
+func (j *batchHashJoinIter) NextBatch() (*types.RowBatch, error) {
+	if !j.built {
+		if err := j.build(); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		if j.draining {
+			// Spilled partitions are joined pairwise and their output rows
+			// re-batched (no-op when the join stayed in memory).
+			j.out.Reset()
+			size := j.out.Cap()
+			for j.out.Len() < size {
+				row, err := j.drainNext()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					return nil, err
+				}
+				j.out.Append(row)
+			}
+			if j.out.Len() == 0 {
+				return nil, io.EOF
+			}
+			// Charge CPU for the disk-replay pass like the probe pass.
+			if err := j.tick.tickRows(j.out.Len()); err != nil {
+				return nil, err
+			}
+			return j.out, nil
+		}
+		b, err := j.left.NextBatch()
+		if err == io.EOF {
+			j.draining = true
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := j.tick.tickRows(b.Len()); err != nil {
+			return nil, err
+		}
+		j.out.Reset()
+		for i, l := 0, b.Len(); i < l; i++ {
+			probe := b.Live(i)
+			if err := j.probeRow(probe, func(combined types.Row) {
+				j.out.Append(combined)
+			}); err != nil {
+				return nil, err
+			}
+		}
+		if j.out.Len() > 0 {
+			return j.out, nil
+		}
+	}
+}
+
+func (j *batchHashJoinIter) Close() {
+	j.mem.closeAll()
+	for _, sf := range j.buildParts {
+		if sf != nil {
+			sf.close()
+		}
+	}
+	for _, sf := range j.probeParts {
+		if sf != nil {
+			sf.close()
+		}
+	}
+	j.buildParts, j.probeParts = nil, nil
+	j.table = nil
+	j.left.Close()
+	j.right.Close()
 }
 
 // addBuildBatch folds a whole build batch with one memory decision per batch
 // instead of one per row — grow takes the slot mutex and a budget CAS, which
 // the vectorized build must not pay per row. Once spilled, rows route to
 // their partition files (no memory is charged on that path).
-func (c *hashJoinCore) addBuildBatch(b *types.RowBatch) error {
-	c.hashScratch = c.hashScratch[:0]
-	c.rowScratch = c.rowScratch[:0]
+func (j *batchHashJoinIter) addBuildBatch(b *types.RowBatch) error {
+	j.hashScratch = j.hashScratch[:0]
+	j.rowScratch = j.rowScratch[:0]
 	var total int64
 	for i, l := 0, b.Len(); i < l; i++ {
 		row := b.Live(i)
-		h, ok, err := hashKeys(c.node.RightKeys, row)
+		h, ok, err := hashKeys(j.node.RightKeys, row)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue // NULL keys never join
 		}
-		c.hashScratch = append(c.hashScratch, h)
-		c.rowScratch = append(c.rowScratch, row)
+		j.hashScratch = append(j.hashScratch, h)
+		j.rowScratch = append(j.rowScratch, row)
 		total += row.Size()
 	}
-	if len(c.rowScratch) == 0 {
+	if len(j.rowScratch) == 0 {
 		return nil
 	}
-	if !c.spilled {
-		okm, err := c.mem.grow(total)
+	if !j.spilled {
+		okm, err := j.mem.grow(total)
 		if err != nil {
 			return err
 		}
 		// Below the spill-chunk floor (a starved budget or a single batch
 		// beyond all of it) the build stays in memory for now.
 		if !okm {
-			if c.ctx.Spill.Enabled() && c.mem.charged >= spillChunk(c.ctx.Spill.Budget()) {
-				if err := c.beginSpill(); err != nil {
+			if j.ctx.Spill.Enabled() && j.mem.charged >= spillChunk(j.ctx.Spill.Budget()) {
+				if err := j.beginSpill(); err != nil {
 					return err
 				}
-			} else if err := c.mem.forceGrow(total); err != nil {
+			} else if err := j.mem.forceGrow(total); err != nil {
 				return err
 			}
 		}
 	}
-	for i, row := range c.rowScratch {
-		h := c.hashScratch[i]
-		if c.spilled {
-			if err := c.buildParts[h%uint64(len(c.buildParts))].writeRow(row); err != nil {
+	for i, row := range j.rowScratch {
+		h := j.hashScratch[i]
+		if j.spilled {
+			if err := j.buildParts[h%uint64(len(j.buildParts))].writeRow(row); err != nil {
 				return err
 			}
 			continue
 		}
-		c.table[h] = append(c.table[h], row)
+		j.table[h] = append(j.table[h], row)
 	}
 	return nil
 }
 
 // beginSpill creates the partition files and flushes the in-memory table.
-func (c *hashJoinCore) beginSpill() error {
-	fanout := spillFanout(c.node.EstMemBytes, c.ctx.Spill.Budget())
-	if err := c.mem.growFiles(2 * int64(fanout) * spillFileOverhead); err != nil {
+func (j *batchHashJoinIter) beginSpill() error {
+	fanout := spillFanout(j.node.EstMemBytes, j.ctx.Spill.Budget())
+	if err := j.mem.growFiles(2 * int64(fanout) * spillFileOverhead); err != nil {
 		return err
 	}
-	c.buildParts = make([]*spillFile, fanout)
-	c.probeParts = make([]*spillFile, fanout)
+	j.buildParts = make([]*spillFile, fanout)
+	j.probeParts = make([]*spillFile, fanout)
 	for i := 0; i < fanout; i++ {
 		// Park each file in its slot as soon as it exists: if the paired
-		// create fails, closeCore still owns (and removes) this one.
-		bf, err := c.ctx.Spill.newFile(c.ctx.SegID, fmt.Sprintf("seg%d-join-build%d", c.ctx.SegID, i))
+		// create fails, Close still owns (and removes) this one.
+		bf, err := j.ctx.Spill.newFile(j.ctx.SegID, fmt.Sprintf("seg%d-join-build%d", j.ctx.SegID, i))
 		if err != nil {
 			return err
 		}
-		bf.stat = c.mem.stat
-		c.buildParts[i] = bf
-		pf, err := c.ctx.Spill.newFile(c.ctx.SegID, fmt.Sprintf("seg%d-join-probe%d", c.ctx.SegID, i))
+		bf.stat = j.mem.stat
+		j.buildParts[i] = bf
+		pf, err := j.ctx.Spill.newFile(j.ctx.SegID, fmt.Sprintf("seg%d-join-probe%d", j.ctx.SegID, i))
 		if err != nil {
 			return err
 		}
-		pf.stat = c.mem.stat
-		c.probeParts[i] = pf
+		pf.stat = j.mem.stat
+		j.probeParts[i] = pf
 	}
-	for h, bucket := range c.table {
-		sf := c.buildParts[h%uint64(fanout)]
+	for h, bucket := range j.table {
+		sf := j.buildParts[h%uint64(fanout)]
 		for _, row := range bucket {
 			if err := sf.writeRow(row); err != nil {
 				return err
 			}
 		}
 	}
-	c.table = make(map[uint64][]types.Row)
-	c.mem.freeAll()
-	c.spilled = true
-	c.ctx.Spill.noteSpill()
+	j.table = make(map[uint64][]types.Row)
+	j.mem.freeAll()
+	j.spilled = true
+	j.ctx.Spill.noteSpill()
 	return nil
 }
 
 // probeRow handles one probe-side row. In memory it emits matches (and the
 // left-join null extension) immediately; once spilled, rows are buffered to
 // their probe partition and the matches surface later via drainNext.
-func (c *hashJoinCore) probeRow(probe types.Row, emit func(types.Row)) error {
-	if !c.spilled {
-		matched, err := probeHashTable(c.node, c.table, probe, emit)
+func (j *batchHashJoinIter) probeRow(probe types.Row, emit func(types.Row)) error {
+	if !j.spilled {
+		matched, err := probeHashTable(j.node, j.table, probe, emit)
 		if err != nil {
 			return err
 		}
-		if !matched && c.node.Kind == plan.JoinLeft {
-			emit(nullExtend(probe, c.rwidth))
+		if !matched && j.node.Kind == plan.JoinLeft {
+			emit(nullExtend(probe, j.rwidth))
 		}
 		return nil
 	}
-	h, ok, err := hashKeys(c.node.LeftKeys, probe)
+	h, ok, err := hashKeys(j.node.LeftKeys, probe)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		// NULL keys match nothing in any partition; resolve now.
-		if c.node.Kind == plan.JoinLeft {
-			emit(nullExtend(probe, c.rwidth))
+		if j.node.Kind == plan.JoinLeft {
+			emit(nullExtend(probe, j.rwidth))
 		}
 		return nil
 	}
-	return c.probeParts[h%uint64(len(c.probeParts))].writeRow(probe)
+	return j.probeParts[h%uint64(len(j.probeParts))].writeRow(probe)
 }
 
 // drainNext returns the next output row of the spilled partitions, loading
 // each build partition into a fresh in-memory table and streaming its probe
 // partition against it. io.EOF when every partition is joined. When the join
 // never spilled there is nothing to drain.
-func (c *hashJoinCore) drainNext() (types.Row, error) {
+func (j *batchHashJoinIter) drainNext() (types.Row, error) {
 	for {
-		if len(c.pending) > 0 {
-			row := c.pending[0]
-			c.pending = c.pending[1:]
+		if len(j.pending) > 0 {
+			row := j.pending[0]
+			j.pending = j.pending[1:]
 			return row, nil
 		}
-		if !c.spilled {
+		if !j.spilled {
 			return nil, io.EOF
 		}
-		if c.curProbe == nil {
-			if c.drainPart >= len(c.buildParts) {
+		if j.curProbe == nil {
+			if j.drainPart >= len(j.buildParts) {
 				return nil, io.EOF
 			}
-			if err := c.loadBuildPartition(c.drainPart); err != nil {
+			if err := j.loadBuildPartition(j.drainPart); err != nil {
 				return nil, err
 			}
-			c.curProbe = c.probeParts[c.drainPart]
-			if err := c.curProbe.startRead(); err != nil {
+			j.curProbe = j.probeParts[j.drainPart]
+			if err := j.curProbe.startRead(); err != nil {
 				return nil, err
 			}
 		}
-		probe, err := c.curProbe.readRow()
+		probe, err := j.curProbe.readRow()
 		if err == io.EOF {
 			// Partition pair done: release its table and files.
-			c.probeParts[c.drainPart].close()
-			c.probeParts[c.drainPart] = nil
-			c.table = make(map[uint64][]types.Row)
-			c.mem.freeAll()
-			c.curProbe = nil
-			c.drainPart++
+			j.probeParts[j.drainPart].close()
+			j.probeParts[j.drainPart] = nil
+			j.table = make(map[uint64][]types.Row)
+			j.mem.freeAll()
+			j.curProbe = nil
+			j.drainPart++
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		matched, err := probeHashTable(c.node, c.table, probe, func(combined types.Row) {
-			c.pending = append(c.pending, combined)
+		matched, err := probeHashTable(j.node, j.table, probe, func(combined types.Row) {
+			j.pending = append(j.pending, combined)
 		})
 		if err != nil {
 			return nil, err
 		}
-		if !matched && c.node.Kind == plan.JoinLeft {
-			c.pending = append(c.pending, nullExtend(probe, c.rwidth))
+		if !matched && j.node.Kind == plan.JoinLeft {
+			j.pending = append(j.pending, nullExtend(probe, j.rwidth))
 		}
 	}
 }
@@ -223,9 +331,9 @@ func (c *hashJoinCore) drainNext() (types.Row, error) {
 // partition is sized by the fanout to fit the budget; when key skew defeats
 // that, the resource group is charged directly rather than re-partitioning
 // (one level of Grace partitioning, as in the paper's executor).
-func (c *hashJoinCore) loadBuildPartition(p int) error {
-	sf := c.buildParts[p]
-	c.buildParts[p] = nil
+func (j *batchHashJoinIter) loadBuildPartition(p int) error {
+	sf := j.buildParts[p]
+	j.buildParts[p] = nil
 	if err := sf.startRead(); err != nil {
 		return err
 	}
@@ -237,43 +345,26 @@ func (c *hashJoinCore) loadBuildPartition(p int) error {
 		if err != nil {
 			return err
 		}
-		h, ok, err := hashKeys(c.node.RightKeys, row)
+		h, ok, err := hashKeys(j.node.RightKeys, row)
 		if err != nil || !ok {
 			if err != nil {
 				return err
 			}
 			continue
 		}
-		okm, err := c.mem.grow(row.Size())
+		okm, err := j.mem.grow(row.Size())
 		if err != nil {
 			return err
 		}
 		if !okm {
-			if err := c.mem.forceGrow(row.Size()); err != nil {
+			if err := j.mem.forceGrow(row.Size()); err != nil {
 				return err
 			}
 		}
-		c.table[h] = append(c.table[h], row)
+		j.table[h] = append(j.table[h], row)
 	}
 	sf.close()
 	return nil
-}
-
-// closeCore releases memory and removes any remaining partition files.
-func (c *hashJoinCore) closeCore() {
-	c.mem.closeAll()
-	for _, sf := range c.buildParts {
-		if sf != nil {
-			sf.close()
-		}
-	}
-	for _, sf := range c.probeParts {
-		if sf != nil {
-			sf.close()
-		}
-	}
-	c.buildParts, c.probeParts = nil, nil
-	c.table = nil
 }
 
 func hashKeys(keys []plan.Expr, row types.Row) (uint64, bool, error) {
@@ -417,7 +508,11 @@ func (j *nestLoopIter) NextBatch() (*types.RowBatch, error) {
 	}
 	j.out.Reset()
 	size := j.out.Cap()
-	pairs := 0 // evaluated (outer, inner) pairs, charged as CPU rows
+	// Evaluated (outer, inner) pairs are charged as CPU rows every size
+	// pairs, not once per output batch: a selective condition can evaluate
+	// the whole product before the batch fills, and each charge is where the
+	// loop yields to CPU sharing and sees cancellation.
+	pairs := 0
 	for !j.done && j.out.Len() < size {
 		if j.outer == nil || j.opos >= j.outer.Len() {
 			b, err := j.left.NextBatch()
@@ -434,7 +529,12 @@ func (j *nestLoopIter) NextBatch() (*types.RowBatch, error) {
 		for j.ipos < len(j.inner) && j.out.Len() < size {
 			inner := j.inner[j.ipos]
 			j.ipos++
-			pairs++
+			if pairs++; pairs == size {
+				if err := j.tick.tickRows(pairs); err != nil {
+					return nil, err
+				}
+				pairs = 0
+			}
 			combined := make(types.Row, 0, len(outer)+len(inner))
 			combined = append(combined, outer...)
 			combined = append(combined, inner...)
